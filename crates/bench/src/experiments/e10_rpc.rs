@@ -3,7 +3,7 @@
 //! Run the same mixed workload through the same coordinator against the
 //! same engines, swapping only the [`FederationTransport`]: direct
 //! in-process function calls vs the real framed codec over loopback TCP
-//! (thread-per-connection site servers, deadline/retry client). Sweep
+//! (event-loop site servers, multiplexed deadline/retry client). Sweep
 //! client concurrency and report committed-transaction throughput with
 //! p50/p99 commit latency per protocol.
 //!
@@ -24,9 +24,9 @@ use amc_engine::{TplConfig, TwoPLEngine};
 use amc_mlt::ConflictPolicy;
 use amc_net::comm::EngineHandle;
 use amc_net::transport::{FederationTransport, InProcessTransport};
-use amc_net::LocalCommManager;
+use amc_net::{LocalCommManager, SubmitMode};
 use amc_obs::ObsSink;
-use amc_rpc::{EventServer, RetryPolicy, SiteServer, TcpTransport};
+use amc_rpc::{EventServer, RetryPolicy, TcpTransport};
 use amc_types::{ProtocolKind, SiteId};
 use amc_workload::{OpMix, WorkloadSpec};
 use std::collections::BTreeMap;
@@ -48,6 +48,45 @@ impl Wire {
         match self {
             Wire::InProcess => "in-process",
             Wire::TcpLoopback => "tcp-loopback",
+        }
+    }
+
+    /// A transport reaching `managers` over this wire, plus the site
+    /// servers it talks to (none in-process). The servers must outlive
+    /// the run; shut them down after dropping the federation.
+    pub fn transport(
+        self,
+        managers: &BTreeMap<SiteId, Arc<LocalCommManager>>,
+        mode: SubmitMode,
+    ) -> (Arc<dyn FederationTransport>, Vec<EventServer>) {
+        match self {
+            Wire::InProcess => (
+                Arc::new(InProcessTransport::new(
+                    managers.clone(),
+                    mode,
+                    Duration::ZERO,
+                )),
+                Vec::new(),
+            ),
+            Wire::TcpLoopback => {
+                let servers: Vec<EventServer> = managers
+                    .iter()
+                    .map(|(&site, manager)| {
+                        EventServer::spawn(
+                            site,
+                            Arc::clone(manager),
+                            mode,
+                            "127.0.0.1:0",
+                            ObsSink::disabled(),
+                        )
+                        .expect("bind loopback")
+                    })
+                    .collect();
+                let addrs = servers.iter().map(|s| (s.site(), s.addr())).collect();
+                let transport =
+                    TcpTransport::new_mux(addrs, RetryPolicy::default(), ObsSink::disabled());
+                (Arc::new(transport), servers)
+            }
         }
     }
 }
@@ -118,35 +157,7 @@ fn run_cell(protocol: ProtocolKind, wire: Wire, clients: usize, txns: usize) -> 
     let mode = submit_mode_for(protocol);
     let managers = managers(spec.sites);
 
-    // Servers must outlive the run; shutdown happens on drop after it.
-    let mut servers: Vec<SiteServer> = Vec::new();
-    let transport: Arc<dyn FederationTransport> = match wire {
-        Wire::InProcess => Arc::new(InProcessTransport::new(
-            managers.clone(),
-            mode,
-            Duration::ZERO,
-        )),
-        Wire::TcpLoopback => {
-            let mut addrs = BTreeMap::new();
-            for (&site, manager) in &managers {
-                let srv = SiteServer::spawn(
-                    site,
-                    Arc::clone(manager),
-                    mode,
-                    "127.0.0.1:0",
-                    ObsSink::disabled(),
-                )
-                .expect("bind loopback");
-                addrs.insert(site, srv.addr());
-                servers.push(srv);
-            }
-            Arc::new(TcpTransport::new(
-                addrs,
-                RetryPolicy::default(),
-                ObsSink::disabled(),
-            ))
-        }
-    };
+    let (transport, servers) = wire.transport(&managers, mode);
 
     let mut cfg = FederationConfig::uniform(spec.sites, protocol);
     cfg.policy = ConflictPolicy::Semantic;
@@ -213,42 +224,9 @@ pub fn table(rows: &[Row]) -> TextTable {
 
 // ----------------------------------------------- high concurrency --
 
-/// Which server runtime + client flavour a high-concurrency cell runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HcRuntime {
-    /// Thread-per-connection server, pooled blocking client (one
-    /// connection checked out per in-flight request).
-    ThreadedPooled,
-    /// Event-loop server, pooled blocking client.
-    EventPooled,
-    /// Event-loop server, multiplexed pipelining client (one shared
-    /// connection per site).
-    EventMux,
-}
-
-impl HcRuntime {
-    /// Short label for the table.
-    pub fn label(self) -> &'static str {
-        match self {
-            HcRuntime::ThreadedPooled => "threaded+pooled",
-            HcRuntime::EventPooled => "event-loop+pooled",
-            HcRuntime::EventMux => "event-loop+mux",
-        }
-    }
-
-    /// Every combination, sweep order.
-    pub const ALL: [HcRuntime; 3] = [
-        HcRuntime::ThreadedPooled,
-        HcRuntime::EventPooled,
-        HcRuntime::EventMux,
-    ];
-}
-
 /// One high-concurrency measurement.
 #[derive(Debug, Clone)]
 pub struct HcRow {
-    /// Runtime + client flavour.
-    pub runtime: HcRuntime,
     /// Driver-thread concurrency.
     pub clients: usize,
     /// Commits achieved.
@@ -271,51 +249,16 @@ pub struct HcRow {
     pub conns_per_core: f64,
 }
 
-/// Run one high-concurrency cell: hundreds of driver threads hammering
-/// commit-before (the paper's protocol, the cheapest message path — the
-/// transport is the bottleneck under test) over loopback TCP.
-fn run_hc_cell(runtime: HcRuntime, clients: usize, txns: usize) -> HcRow {
+/// Run the high-concurrency cell: `clients` driver threads (the profile
+/// pins `clients >= 200`) hammering commit-before (the paper's protocol,
+/// the cheapest message path — the transport is the bottleneck under
+/// test) over loopback TCP.
+pub fn run_high_concurrency(txns: usize, clients: usize) -> HcRow {
     let protocol = ProtocolKind::CommitBefore;
     let spec = spec();
     let mode = submit_mode_for(protocol);
     let managers = managers(spec.sites);
-
-    let mut threaded: Vec<SiteServer> = Vec::new();
-    let mut event: Vec<EventServer> = Vec::new();
-    let mut addrs = BTreeMap::new();
-    for (&site, manager) in &managers {
-        match runtime {
-            HcRuntime::ThreadedPooled => {
-                let srv = SiteServer::spawn(
-                    site,
-                    Arc::clone(manager),
-                    mode,
-                    "127.0.0.1:0",
-                    ObsSink::disabled(),
-                )
-                .expect("bind loopback");
-                addrs.insert(site, srv.addr());
-                threaded.push(srv);
-            }
-            HcRuntime::EventPooled | HcRuntime::EventMux => {
-                let srv = EventServer::spawn(
-                    site,
-                    Arc::clone(manager),
-                    mode,
-                    "127.0.0.1:0",
-                    ObsSink::disabled(),
-                )
-                .expect("bind loopback");
-                addrs.insert(site, srv.addr());
-                event.push(srv);
-            }
-        }
-    }
-    let policy = RetryPolicy::default();
-    let transport: Arc<dyn FederationTransport> = match runtime {
-        HcRuntime::EventMux => Arc::new(TcpTransport::new_mux(addrs, policy, ObsSink::disabled())),
-        _ => Arc::new(TcpTransport::new(addrs, policy, ObsSink::disabled())),
-    };
+    let (transport, servers) = Wire::TcpLoopback.transport(&managers, mode);
 
     let mut cfg = FederationConfig::uniform(spec.sites, protocol);
     cfg.policy = ConflictPolicy::Semantic;
@@ -331,25 +274,15 @@ fn run_hc_cell(runtime: HcRuntime, clients: usize, txns: usize) -> HcRow {
     let batch = program_batch(&spec, 20_000 + clients as u64, txns);
     let m = fed.run_concurrent(batch, clients);
     drop(fed);
-    // Connection counts, read before teardown: the threaded runtime's
-    // figure is retained connection threads (each live connection is a
-    // thread); the event runtime's is the loop's high-water mark.
-    let connections: u64 = threaded
-        .iter()
-        .map(|s| s.connection_threads() as u64)
-        .chain(event.iter().map(|s| s.stats().peak_connections))
-        .sum();
-    for srv in threaded {
-        srv.shutdown();
-    }
-    for srv in event {
+    // The loop's connection high-water mark, read before teardown.
+    let connections: u64 = servers.iter().map(|s| s.stats().peak_connections).sum();
+    for srv in servers {
         srv.shutdown();
     }
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1) as f64;
     HcRow {
-        runtime,
         clients,
         committed: m.committed,
         throughput: m.throughput(),
@@ -362,21 +295,11 @@ fn run_hc_cell(runtime: HcRuntime, clients: usize, txns: usize) -> HcRow {
     }
 }
 
-/// Run the high-concurrency sweep: every runtime at `clients` driver
-/// threads (the profile pins `clients >= 200`).
-pub fn run_high_concurrency(txns: usize, clients: usize) -> Vec<HcRow> {
-    HcRuntime::ALL
-        .into_iter()
-        .map(|rt| run_hc_cell(rt, clients, txns))
-        .collect()
-}
-
 /// Render the high-concurrency table.
-pub fn hc_table(rows: &[HcRow]) -> TextTable {
+pub fn hc_table(r: &HcRow) -> TextTable {
     let mut t = TextTable::new(
-        "E10 — high concurrency: server runtime × client flavour over loopback TCP",
+        "E10 — high concurrency: event-loop servers + mux client over loopback TCP",
         &[
-            "runtime",
             "clients",
             "commits",
             "txn/s",
@@ -387,49 +310,45 @@ pub fn hc_table(rows: &[HcRow]) -> TextTable {
             "conns/core",
         ],
     );
-    for r in rows {
-        t.row(vec![
-            r.runtime.label().to_string(),
-            r.clients.to_string(),
-            r.committed.to_string(),
-            opt2(r.throughput),
-            opt2(r.p50_ms),
-            opt2(r.p99_ms),
-            opt2(r.sheds_per_txn),
-            r.connections.to_string(),
-            format!("{:.2}", r.conns_per_core),
-        ]);
-    }
+    t.row(vec![
+        r.clients.to_string(),
+        r.committed.to_string(),
+        opt2(r.throughput),
+        opt2(r.p50_ms),
+        opt2(r.p99_ms),
+        opt2(r.sheds_per_txn),
+        r.connections.to_string(),
+        format!("{:.2}", r.conns_per_core),
+    ]);
     t
 }
 
 /// Shape checks for the high-concurrency profile.
-pub fn hc_verdicts(rows: &[HcRow]) -> Vec<String> {
-    let mut out = Vec::new();
-    // E10-4: every runtime serves hundreds of concurrent clients.
-    let enough = rows.iter().all(|r| r.clients >= 200);
-    let all_commit = rows.iter().all(|r| r.committed > 0);
-    out.push(format!(
-        "[{}] E10-4: every runtime commits at >=200 concurrent clients ({} clients)",
-        if enough && all_commit { "PASS" } else { "FAIL" },
-        rows.first().map(|r| r.clients).unwrap_or(0),
-    ));
-    // E10-5: multiplexing collapses the connection count — the mux
-    // transport rides one connection per site where the pooled client
-    // opens a connection per in-flight request.
-    let mux = rows.iter().find(|r| r.runtime == HcRuntime::EventMux);
-    let pooled = rows.iter().find(|r| r.runtime == HcRuntime::EventPooled);
-    let collapsed = match (mux, pooled) {
-        (Some(m), Some(p)) => m.connections <= spec().sites as u64 && m.connections < p.connections,
-        _ => false,
-    };
-    out.push(format!(
-        "[{}] E10-5: event-loop+mux rides <=1 connection per site (mux {} vs pooled {})",
-        if collapsed { "PASS" } else { "FAIL" },
-        mux.map(|r| r.connections).unwrap_or(0),
-        pooled.map(|r| r.connections).unwrap_or(0),
-    ));
-    out
+pub fn hc_verdicts(r: &HcRow) -> Vec<String> {
+    vec![
+        // E10-4: the stack serves hundreds of concurrent clients.
+        format!(
+            "[{}] E10-4: the event-loop+mux stack commits at >=200 concurrent clients ({} clients)",
+            if r.clients >= 200 && r.committed > 0 {
+                "PASS"
+            } else {
+                "FAIL"
+            },
+            r.clients,
+        ),
+        // E10-5: multiplexing bounds the connection count — one shared
+        // connection per site, however many clients drive it.
+        format!(
+            "[{}] E10-5: event-loop+mux rides <=1 connection per site (mux {} for {} sites)",
+            if r.connections <= u64::from(spec().sites) {
+                "PASS"
+            } else {
+                "FAIL"
+            },
+            r.connections,
+            spec().sites,
+        ),
+    ]
 }
 
 /// The shape checks for this experiment.

@@ -24,10 +24,7 @@ use amc_core::{submit_mode_for, Federation, FederationConfig};
 use amc_engine::{TplConfig, TwoPLEngine};
 use amc_mlt::ConflictPolicy;
 use amc_net::comm::EngineHandle;
-use amc_net::transport::{FederationTransport, InProcessTransport};
 use amc_net::LocalCommManager;
-use amc_obs::ObsSink;
-use amc_rpc::{RetryPolicy, SiteServer, TcpTransport};
 use amc_types::{ObjectId, Operation, ProtocolKind, SiteId, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -177,34 +174,7 @@ fn run_cell(layer: Layer, wire: Wire, pct_single: usize, txns: usize, clients: u
     let mode = submit_mode_for(protocol);
     let managers = managers();
 
-    let mut servers: Vec<SiteServer> = Vec::new();
-    let transport: Arc<dyn FederationTransport> = match wire {
-        Wire::InProcess => Arc::new(InProcessTransport::new(
-            managers.clone(),
-            mode,
-            Duration::ZERO,
-        )),
-        Wire::TcpLoopback => {
-            let mut addrs = BTreeMap::new();
-            for (&site, manager) in &managers {
-                let srv = SiteServer::spawn(
-                    site,
-                    Arc::clone(manager),
-                    mode,
-                    "127.0.0.1:0",
-                    ObsSink::disabled(),
-                )
-                .expect("bind loopback");
-                addrs.insert(site, srv.addr());
-                servers.push(srv);
-            }
-            Arc::new(TcpTransport::new(
-                addrs,
-                RetryPolicy::default(),
-                ObsSink::disabled(),
-            ))
-        }
-    };
+    let (transport, servers) = wire.transport(&managers, mode);
 
     let mut cfg = FederationConfig::uniform(SITES, protocol);
     if layer == Layer::FastPath {

@@ -34,10 +34,7 @@ use amc_engine::{TplConfig, TwoPLEngine};
 use amc_mlt::ConflictPolicy;
 use amc_net::comm::EngineHandle;
 use amc_net::marker::is_marker;
-use amc_net::transport::{FederationTransport, InProcessTransport};
 use amc_net::LocalCommManager;
-use amc_obs::ObsSink;
-use amc_rpc::{RetryPolicy, SiteServer, TcpTransport};
 use amc_types::{ProtocolKind, SiteId};
 use amc_workload::{fingerprint, MixGen, MixKind, MixSpec};
 use std::collections::BTreeMap;
@@ -360,34 +357,7 @@ fn run_wire_cell(
         })
         .collect();
 
-    let mut servers: Vec<SiteServer> = Vec::new();
-    let transport: Arc<dyn FederationTransport> = match wire {
-        Wire::InProcess => Arc::new(InProcessTransport::new(
-            managers.clone(),
-            mode,
-            Duration::ZERO,
-        )),
-        Wire::TcpLoopback => {
-            let mut addrs = BTreeMap::new();
-            for (&site, manager) in &managers {
-                let srv = SiteServer::spawn(
-                    site,
-                    Arc::clone(manager),
-                    mode,
-                    "127.0.0.1:0",
-                    ObsSink::disabled(),
-                )
-                .expect("bind loopback");
-                addrs.insert(site, srv.addr());
-                servers.push(srv);
-            }
-            Arc::new(TcpTransport::new(
-                addrs,
-                RetryPolicy::default(),
-                ObsSink::disabled(),
-            ))
-        }
-    };
+    let (transport, servers) = wire.transport(&managers, mode);
 
     let mut cfg = FederationConfig::uniform(spec.sites, protocol);
     if regime == Regime::FastPath {
@@ -525,7 +495,11 @@ pub fn verdicts(
     let committing = all.iter().filter(|r| r.committed > 0).count();
     out.push(format!(
         "[{}] E15-1: every (lane, axis, regime) cell commits ({committing}/{} cells)",
-        if committing == all.len() { "PASS" } else { "FAIL" },
+        if committing == all.len() {
+            "PASS"
+        } else {
+            "FAIL"
+        },
         all.len(),
     ));
 

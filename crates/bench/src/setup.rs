@@ -17,7 +17,11 @@ pub type ProgramBatch = Vec<(BTreeMap<SiteId, Vec<Operation>>, bool)>;
 /// timeouts so contention resolves quickly, modelled 1991-scale service
 /// and message costs so protocol lock tenure matters. Factored out so
 /// E15 can apply identical tuning to `MixSpec`-driven federations.
-pub fn tuned_config(sites: u32, protocol: ProtocolKind, policy: ConflictPolicy) -> FederationConfig {
+pub fn tuned_config(
+    sites: u32,
+    protocol: ProtocolKind,
+    policy: ConflictPolicy,
+) -> FederationConfig {
     let mut cfg = FederationConfig::uniform(sites, protocol);
     cfg.policy = policy;
     cfg.tpl = TplConfig {

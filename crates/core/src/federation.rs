@@ -719,50 +719,11 @@ impl Federation {
         let result: AmcResult<()> = (|| {
             'drive: while let Some(event) = queue.pop_front() {
                 let actions = coordinator.on_event(event);
-                // Over a pipelining transport a round's Sends — one per
-                // site, mutually independent — overlap on the wire
-                // instead of paying one round trip each, in series.
-                // Replies are still *processed* in emission order, so
-                // the coordinator state machine sees exactly the serial
-                // schedule. Paxos rounds stay serial: registration and
-                // vote replication interleave with the sends.
-                let mut prefetched: BTreeMap<usize, AmcResult<Payload>> = BTreeMap::new();
-                if paxos.is_none() && self.transport.supports_pipelining() {
-                    let sends: Vec<(usize, SiteId, Payload)> = actions
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, a)| match a {
-                            CoordAction::Send { site, payload } => {
-                                Some((i, *site, payload.clone()))
-                            }
-                            _ => None,
-                        })
-                        .collect();
-                    if sends.len() > 1 {
-                        for (_, site, payload) in &sends {
-                            if matches!(
-                                payload,
-                                Payload::Submit { .. } | Payload::SubmitPrepare { .. }
-                            ) {
-                                submit_started.insert(*site, Instant::now());
-                            }
-                        }
-                        std::thread::scope(|scope| {
-                            let handles: Vec<_> = sends
-                                .iter()
-                                .map(|(i, site, payload)| {
-                                    let (i, site, payload) = (*i, *site, payload.clone());
-                                    (i, scope.spawn(move || self.dispatch(site, payload)))
-                                })
-                                .collect();
-                            for (i, h) in handles {
-                                let r = h.join().expect("fan-out dispatch panicked");
-                                prefetched.insert(i, r);
-                            }
-                        });
-                    }
-                }
-                for (action_idx, action) in actions.into_iter().enumerate() {
+                // Sends go out one at a time, in the coordinator's
+                // emission order — ascending site order — so every
+                // transaction takes its L0 locks in the same site order
+                // and no lock cycle can form across sites.
+                for action in actions {
                     match action {
                         CoordAction::Send { site, payload } => {
                             // Replicated coordination opens the instance
@@ -785,13 +746,10 @@ impl Federation {
                                     }
                                 }
                             }
-                            let is_submit = matches!(
+                            if matches!(
                                 payload,
                                 Payload::Submit { .. } | Payload::SubmitPrepare { .. }
-                            );
-                            // A prefetched submit already stamped its
-                            // start when the fan-out launched it.
-                            if is_submit && !prefetched.contains_key(&action_idx) {
+                            ) {
                                 submit_started.insert(site, Instant::now());
                             }
                             let was_prepare = matches!(payload, Payload::Prepare { .. });
@@ -802,11 +760,7 @@ impl Federation {
                                     | Payload::Prepare { .. }
                             );
                             messages += 2; // request + reply
-                            let dispatched = match prefetched.remove(&action_idx) {
-                                Some(r) => r,
-                                None => self.dispatch(site, payload.clone()),
-                            };
-                            let reply = match dispatched {
+                            let reply = match self.dispatch(site, payload.clone()) {
                                 Ok(reply) => reply,
                                 Err(AmcError::SiteDown(_)) | Err(AmcError::TransientIo(_)) => {
                                     if vote_phase {

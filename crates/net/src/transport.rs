@@ -89,13 +89,13 @@ pub trait FederationTransport: Send + Sync {
     /// Send one admin request to `to` and wait for its reply.
     fn admin(&self, to: SiteId, req: AdminRequest) -> AmcResult<AdminReply>;
 
-    /// Whether concurrent [`FederationTransport::call`]s to *different*
-    /// sites may overlap in flight. A coordinator may fan a message round
-    /// out in parallel over a pipelining transport; over a
-    /// non-pipelining one (notably the in-process transport, whose
-    /// modelled delays assume serial delivery) it must keep the calls
-    /// sequential. Defaults to `false` — serial — so a transport must
-    /// opt in to concurrent dispatch.
+    /// Whether concurrent [`FederationTransport::call`]s from different
+    /// callers may overlap in flight on this transport (the networked
+    /// transport multiplexes them over one connection per site; the
+    /// in-process transport's modelled delays assume serial delivery).
+    /// This describes the transport only: the coordinator always sends
+    /// a transaction's messages one at a time, in ascending site order.
+    /// Defaults to `false`.
     fn supports_pipelining(&self) -> bool {
         false
     }

@@ -11,15 +11,16 @@
 //! its site fleet, and one [`CoordReply::Done`] comes back with the
 //! outcome and the coordinator-side measurements.
 //!
-//! Concurrency model matches [`SiteServer`](crate::SiteServer):
-//! thread-per-connection, malformed frames kill their own connection and
+//! Concurrency model: thread-per-connection (a router holds few,
+//! long-lived connections, and each `Exec` blocks its thread for a whole
+//! commit protocol run). Malformed frames kill their own connection and
 //! nothing else. Application failures travel as `ErrorReply` frames —
 //! the transport stays healthy; the answer is an error.
 //!
 //! [`Federation`]: amc_core::Federation
 
-use crate::client::RetryPolicy;
-use crate::server::bind_with_retry;
+use crate::event_loop::bind_with_retry;
+use crate::mux::RetryPolicy;
 use crate::wire::{read_frame, write_frame, CoordReply, CoordRequest, Frame, FrameBuffer};
 use amc_core::{Federation, TxnOutcome};
 use amc_types::{AmcError, AmcResult, GlobalTxnId, Operation, SiteId};
@@ -185,7 +186,8 @@ fn coord_reply_for_frame(frame: Frame, federation: &Federation, info: &CoordInfo
     })
 }
 
-/// One connection's request loop; same structure as the site server's.
+/// One connection's request loop. Reads go through a [`FrameBuffer`], so
+/// a frame split across read-timeout ticks still parses.
 fn serve_coord_connection(
     mut stream: TcpStream,
     federation: &Federation,

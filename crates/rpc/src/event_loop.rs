@@ -27,11 +27,11 @@
 //! request id — echoed verbatim in every reply — is what lets a
 //! pipelining client match them up again.
 
-use crate::server::reply_for_frame;
 use crate::wire::{encode_frame, Frame, FrameBuffer};
 use amc_epoll::{Interest, Poller, Waker};
+use amc_net::transport::{admin_to_manager, dispatch_to_manager};
 use amc_net::{LocalCommManager, SubmitMode};
-use amc_obs::ObsSink;
+use amc_obs::{EventKind, ObsSink};
 use amc_paxos::AcceptorHost;
 use amc_types::{AmcError, SiteId};
 use parking_lot::{Condvar, Mutex};
@@ -135,9 +135,9 @@ struct Conn {
     closing: bool,
 }
 
-/// A running event-loop site server. Drop-in replacement for
-/// [`SiteServer`](crate::SiteServer): same spawn surface, same wire
-/// vocabulary, same acceptor hook — different concurrency model.
+/// A running site server: one local system's engine + communication
+/// manager behind a loopback (or any) TCP listener. Dropping it (or
+/// calling [`EventServer::shutdown`]) stops the loop and the workers.
 pub struct EventServer {
     site: SiteId,
     addr: SocketAddr,
@@ -149,7 +149,14 @@ pub struct EventServer {
 }
 
 impl EventServer {
-    /// Bind `listen` and serve `manager` on the event-loop runtime.
+    /// Bind `listen` (e.g. `127.0.0.1:0` for an ephemeral loopback port)
+    /// and serve `manager` on it. `mode` selects how submits run — it must
+    /// match the protocol the coordinator drives.
+    ///
+    /// Binding retries briefly on `AddrInUse`: a site restarted **in
+    /// place** (same port, after a crash or shutdown) can race the kernel
+    /// reclaiming the old listener. The retry lives here, not in callers,
+    /// so every embedding gets restart-in-place for free.
     pub fn spawn(
         site: SiteId,
         manager: Arc<LocalCommManager>,
@@ -161,8 +168,10 @@ impl EventServer {
     }
 
     /// Like [`EventServer::spawn`], additionally mounting a co-located
-    /// Paxos Commit acceptor (see
-    /// [`SiteServer::spawn_with_acceptor`](crate::SiteServer::spawn_with_acceptor)).
+    /// Paxos Commit acceptor: Paxos messages are answered from the
+    /// acceptor's durable log, vote replies are run through the
+    /// vote-as-accept hook before they leave the process, and a
+    /// participant's `Decision` closes its acceptor instances.
     pub fn spawn_with_acceptor(
         site: SiteId,
         manager: Arc<LocalCommManager>,
@@ -171,7 +180,7 @@ impl EventServer {
         obs: ObsSink,
         acceptor: Option<Arc<AcceptorHost>>,
     ) -> io::Result<EventServer> {
-        let listener = crate::server::bind_with_retry(listen)?;
+        let listener = bind_with_retry(listen)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
@@ -274,6 +283,106 @@ impl Drop for EventServer {
         if self.loop_thread.is_some() {
             self.stop_and_join();
         }
+    }
+}
+
+/// Bounded `AddrInUse` retry around [`TcpListener::bind`] (see
+/// [`EventServer::spawn`]). Ephemeral-port binds (`:0`) never collide and
+/// return on the first attempt.
+pub(crate) fn bind_with_retry(listen: &str) -> io::Result<TcpListener> {
+    const ATTEMPTS: u32 = 50;
+    let mut last = None;
+    for attempt in 0..ATTEMPTS {
+        if attempt > 0 {
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        match TcpListener::bind(listen) {
+            Ok(l) => return Ok(l),
+            Err(e) if e.kind() == io::ErrorKind::AddrInUse => last = Some(e),
+            Err(e) => return Err(e),
+        }
+    }
+    Err(last.expect("loop ran at least once"))
+}
+
+/// Normal dispatch wrapped with acceptor interception (when one is
+/// mounted): Paxos messages are answered by the acceptor, and a vote
+/// reply is durably accepted at ballot 0 — or refused, surfacing as an
+/// error — before it is released.
+fn dispatch_with_acceptor(
+    manager: &LocalCommManager,
+    payload: amc_net::Payload,
+    mode: SubmitMode,
+    acceptor: Option<&AcceptorHost>,
+) -> amc_types::AmcResult<amc_net::Payload> {
+    let Some(host) = acceptor else {
+        return dispatch_to_manager(manager, payload, mode);
+    };
+    if let Some(reply) = host.pre_dispatch(&payload)? {
+        return Ok(reply);
+    }
+    let reply = dispatch_to_manager(manager, payload, mode)?;
+    host.post_dispatch(&reply)?;
+    Ok(reply)
+}
+
+/// Serve one request frame: dispatch it and build the reply frame.
+/// Returns `None` for frames a server must never receive (a peer sending
+/// *replies* is broken and its connection should be dropped).
+fn reply_for_frame(
+    frame: Frame,
+    site: SiteId,
+    manager: &LocalCommManager,
+    mode: SubmitMode,
+    obs: &ObsSink,
+    acceptor: Option<&AcceptorHost>,
+) -> Option<Frame> {
+    match frame {
+        Frame::Request { req_id, payload } => {
+            obs.emit(
+                Some(payload.gtx()),
+                site,
+                EventKind::MsgDeliver {
+                    label: payload.label(),
+                    from: SiteId::CENTRAL,
+                },
+            );
+            Some(
+                match dispatch_with_acceptor(manager, payload, mode, acceptor) {
+                    Ok(payload) => {
+                        obs.emit(
+                            Some(payload.gtx()),
+                            site,
+                            EventKind::MsgSend {
+                                label: payload.label(),
+                                from: site,
+                                to: SiteId::CENTRAL,
+                            },
+                        );
+                        Frame::Reply { req_id, payload }
+                    }
+                    Err(error) => Frame::ErrorReply { req_id, error },
+                },
+            )
+        }
+        Frame::AdminRequest { req_id, req } => {
+            let handled = acceptor.and_then(|h| h.admin_pre(&req));
+            let result = match handled {
+                Some(reply) => Ok(reply),
+                None => admin_to_manager(manager, req),
+            };
+            Some(match result {
+                Ok(reply) => Frame::AdminReply { req_id, reply },
+                Err(error) => Frame::ErrorReply { req_id, error },
+            })
+        }
+        // Coordinator frames belong to the router↔coordinator surface; a
+        // site server receiving one has a confused peer — drop it.
+        Frame::Reply { .. }
+        | Frame::AdminReply { .. }
+        | Frame::ErrorReply { .. }
+        | Frame::CoordRequest { .. }
+        | Frame::CoordReply { .. } => None,
     }
 }
 
@@ -457,7 +566,8 @@ fn read_ready(
                     jobs.push(Job { conn: token, frame });
                 }
             }
-            // A server only accepts requests (cf. the blocking runtime).
+            // A server only accepts requests: a peer sending replies is
+            // broken.
             Ok(Some(_)) => return true,
             Ok(None) => break,
             Err(_) => return true,
@@ -581,5 +691,116 @@ fn finish_or_update(
             .is_ok()
     {
         conn.interest = want;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{read_frame, write_frame};
+    use amc_engine::{TplConfig, TwoPLEngine};
+    use amc_net::comm::EngineHandle;
+    use amc_net::transport::{AdminReply, AdminRequest};
+    use amc_types::{GlobalTxnId, ObjectId, Operation, Value};
+
+    fn server() -> EventServer {
+        let site = SiteId::new(1);
+        let engine = Arc::new(TwoPLEngine::new(TplConfig::default()));
+        let manager = Arc::new(LocalCommManager::new(
+            site,
+            EngineHandle::Preparable(engine),
+        ));
+        EventServer::spawn(
+            site,
+            manager,
+            SubmitMode::CommitBefore,
+            "127.0.0.1:0",
+            ObsSink::disabled(),
+        )
+        .expect("bind loopback")
+    }
+
+    fn roundtrip(stream: &mut TcpStream, frame: &Frame) -> Frame {
+        write_frame(stream, frame).unwrap();
+        loop {
+            match read_frame(stream) {
+                Ok(f) => return f,
+                Err(e) if e.is_timeout() => continue,
+                Err(e) => panic!("read: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn serves_a_submit_over_tcp() {
+        let srv = server();
+        let mut conn = TcpStream::connect(srv.addr()).unwrap();
+        let reply = roundtrip(
+            &mut conn,
+            &Frame::AdminRequest {
+                req_id: 1,
+                req: AdminRequest::Load(vec![(ObjectId::new(1), Value::counter(10))]),
+            },
+        );
+        assert_eq!(
+            reply,
+            Frame::AdminReply {
+                req_id: 1,
+                reply: AdminReply::Loaded
+            }
+        );
+        let reply = roundtrip(
+            &mut conn,
+            &Frame::Request {
+                req_id: 2,
+                payload: amc_net::Payload::Submit {
+                    gtx: GlobalTxnId::new(1),
+                    ops: vec![Operation::Increment {
+                        obj: ObjectId::new(1),
+                        delta: 5,
+                    }],
+                },
+            },
+        );
+        match reply {
+            Frame::Reply {
+                req_id: 2,
+                payload: amc_net::Payload::Vote { vote, .. },
+            } => assert!(vote.is_yes()),
+            other => panic!("unexpected {other:?}"),
+        }
+        srv.shutdown();
+    }
+
+    #[test]
+    fn garbage_frame_drops_only_that_connection() {
+        let srv = server();
+        // A healthy connection established first.
+        let mut healthy = TcpStream::connect(srv.addr()).unwrap();
+        // A hostile connection: oversized length prefix.
+        let mut hostile = TcpStream::connect(srv.addr()).unwrap();
+        hostile.write_all(&u32::MAX.to_le_bytes()).unwrap();
+        // The hostile connection gets dropped: the next read sees EOF.
+        hostile
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut buf = [0u8; 1];
+        assert_eq!(hostile.read(&mut buf).unwrap_or(0), 0, "must be closed");
+        // The healthy connection still serves.
+        let reply = roundtrip(
+            &mut healthy,
+            &Frame::AdminRequest {
+                req_id: 7,
+                req: AdminRequest::Ping,
+            },
+        );
+        assert_eq!(
+            reply,
+            Frame::AdminReply {
+                req_id: 7,
+                reply: AdminReply::Pong
+            }
+        );
+        srv.shutdown();
     }
 }

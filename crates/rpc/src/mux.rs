@@ -1,24 +1,27 @@
 //! The multiplexed, pipelining RPC client.
 //!
-//! Where [`RpcClient`](crate::RpcClient) checks a whole connection out
-//! of a pool per request — N concurrent requests need N sockets — a
-//! [`MuxClient`] shares **one** connection among every caller. Each
-//! request is tagged with a fresh id and written to the shared socket;
-//! a dedicated reader thread decodes replies incrementally (through a
-//! [`FrameBuffer`], so partial frames survive read-timeout ticks) and
-//! completes whichever caller's id each reply names — in whatever order
-//! the server finished them. That is the client half of pipelining: many
-//! requests in flight on one stream, out-of-order completion, no
-//! head-of-line coupling between callers.
+//! A [`MuxClient`] fronts one site and shares **one** connection among
+//! every caller. Each request is tagged with a fresh id and written to
+//! the shared socket; a dedicated reader thread decodes replies
+//! incrementally (through a [`FrameBuffer`], so partial frames survive
+//! read-timeout ticks) and completes whichever caller's id each reply
+//! names — in whatever order the server finished them. That is the
+//! client half of pipelining: many requests in flight on one stream,
+//! out-of-order completion, no head-of-line coupling between callers.
 //!
-//! Failure shape matches the pooled client: a request that cannot be
-//! delivered or answered inside the deadline counts one attempt, the
-//! connection is torn down (failing *every* pending request, each of
-//! which retries independently), and the next attempt redials. Retries
-//! are safe for the same reason they always were: every manager handler
-//! is idempotent.
+//! Every request gets a per-request deadline and up to
+//! [`RetryPolicy::max_attempts`] tries separated by capped, jittered
+//! exponential backoff. A request that cannot be delivered or answered
+//! inside the deadline counts one attempt; a dead connection is torn
+//! down (failing *every* pending request, each of which retries
+//! independently), and the next attempt redials. Application errors
+//! carried in an `ErrorReply` frame are NOT retried — the site answered;
+//! the answer is an error — except a load-shed `BufferExhausted`, which
+//! is backed off and retried. Retrying protocol messages is safe by
+//! construction: every manager handler is idempotent (work map,
+//! tombstones, durable markers), which is exactly the property the
+//! paper's inquiry/repetition machinery already depends on.
 
-use crate::client::RetryPolicy;
 use crate::wire::{write_frame, Frame, FrameBuffer};
 use amc_net::transport::{AdminReply, AdminRequest};
 use amc_net::Payload;
@@ -35,6 +38,58 @@ use std::time::{Duration, Instant};
 /// How often the reader thread's blocked read wakes to check for
 /// shutdown.
 const READ_TICK: Duration = Duration::from_millis(100);
+
+/// Deadlines and retry shape for one client.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Deadline for establishing a connection.
+    pub connect_timeout: Duration,
+    /// Per-request deadline (applies to the write and to the reply read).
+    pub request_timeout: Duration,
+    /// Total attempts before the site is declared down.
+    pub max_attempts: u32,
+    /// Backoff before the 2nd attempt; doubles per attempt.
+    pub backoff_base: Duration,
+    /// Backoff ceiling.
+    pub backoff_cap: Duration,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            connect_timeout: Duration::from_millis(500),
+            request_timeout: Duration::from_secs(2),
+            max_attempts: 10,
+            backoff_base: Duration::from_millis(10),
+            backoff_cap: Duration::from_millis(200),
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// The backoff *envelope* after failed attempt number `attempt`
+    /// (1-based): base · 2^(attempt−1), capped. The client sleeps a
+    /// jittered value inside `[envelope/2, envelope]` (equal jitter) so
+    /// that the many clients a coordinator runs — one per site — do not
+    /// re-dial a recovering site in lockstep after a shared outage.
+    pub fn backoff_after(&self, attempt: u32) -> Duration {
+        let exp = attempt.saturating_sub(1).min(16);
+        self.backoff_base
+            .saturating_mul(1u32 << exp)
+            .min(self.backoff_cap)
+    }
+
+    /// Apply equal jitter to an envelope: uniform in `[d/2, d]`, driven
+    /// by `r` (any uniformly distributed word).
+    pub fn jittered(d: Duration, r: u64) -> Duration {
+        let nanos = d.as_nanos() as u64;
+        let half = nanos / 2;
+        if half == 0 {
+            return d;
+        }
+        Duration::from_nanos(half + r % (nanos - half + 1))
+    }
+}
 
 /// One caller's parking spot: its own mutex + condvar, so completing a
 /// reply wakes exactly that caller — never the whole herd of waiters.
@@ -140,7 +195,32 @@ fn reader_loop(mut stream: TcpStream, chan: Arc<Channel>) {
 ///
 /// Cheap to clone-share via `Arc`; any number of threads may
 /// [`MuxClient::call`] concurrently and their requests share one
-/// connection.
+/// connection. Round-trip against a real [`EventServer`] on an ephemeral
+/// loopback port:
+///
+/// ```
+/// use amc_engine::{TplConfig, TwoPLEngine};
+/// use amc_net::{AdminReply, AdminRequest, EngineHandle, LocalCommManager, SubmitMode};
+/// use amc_obs::ObsSink;
+/// use amc_rpc::{EventServer, MuxClient, RetryPolicy};
+/// use amc_types::SiteId;
+/// use std::sync::Arc;
+///
+/// let site = SiteId::new(1);
+/// let engine = Arc::new(TwoPLEngine::new(TplConfig::default()));
+/// let manager = Arc::new(LocalCommManager::new(site, EngineHandle::Preparable(engine)));
+/// let server = EventServer::spawn(
+///     site, manager, SubmitMode::CommitBefore, "127.0.0.1:0", ObsSink::disabled(),
+/// )?;
+///
+/// let client = MuxClient::new(site, server.addr(), RetryPolicy::default(), ObsSink::disabled());
+/// assert!(matches!(client.admin(AdminRequest::Ping)?, AdminReply::Pong));
+/// drop(client);
+/// server.shutdown();
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// [`EventServer`]: crate::EventServer
 pub struct MuxClient {
     site: SiteId,
     addr: Mutex<SocketAddr>,
@@ -198,6 +278,8 @@ impl MuxClient {
         }
     }
 
+    /// Next backoff jitter word (SplitMix64, seeded per site, so two
+    /// clients retrying the same outage desynchronise).
     fn jitter_word(&self) -> u64 {
         let x = self
             .jitter_state
@@ -451,6 +533,80 @@ impl Drop for MuxClient {
 mod tests {
     use super::*;
     use std::net::TcpListener;
+
+    #[test]
+    fn backoff_doubles_and_caps() {
+        let p = RetryPolicy {
+            backoff_base: Duration::from_millis(10),
+            backoff_cap: Duration::from_millis(100),
+            ..RetryPolicy::default()
+        };
+        assert_eq!(p.backoff_after(1), Duration::from_millis(10));
+        assert_eq!(p.backoff_after(2), Duration::from_millis(20));
+        assert_eq!(p.backoff_after(3), Duration::from_millis(40));
+        assert_eq!(p.backoff_after(4), Duration::from_millis(80));
+        assert_eq!(p.backoff_after(5), Duration::from_millis(100));
+        assert_eq!(p.backoff_after(30), Duration::from_millis(100));
+    }
+
+    #[test]
+    fn jitter_stays_in_the_equal_jitter_band() {
+        let d = Duration::from_millis(100);
+        for r in [0u64, 1, 49, 50, 51, 99, u64::MAX, 0xDEAD_BEEF] {
+            let j = RetryPolicy::jittered(d, r);
+            assert!(j >= d / 2 && j <= d, "{j:?} outside [{:?}, {d:?}]", d / 2);
+        }
+        // Degenerate envelopes pass through unchanged.
+        assert_eq!(RetryPolicy::jittered(Duration::ZERO, 7), Duration::ZERO);
+        assert_eq!(
+            RetryPolicy::jittered(Duration::from_nanos(1), 7),
+            Duration::from_nanos(1)
+        );
+    }
+
+    #[test]
+    fn jitter_words_differ_across_draws_and_clients() {
+        let addr = "127.0.0.1:1".parse().unwrap();
+        let a = MuxClient::new(
+            SiteId::new(1),
+            addr,
+            RetryPolicy::default(),
+            ObsSink::disabled(),
+        );
+        let b = MuxClient::new(
+            SiteId::new(2),
+            addr,
+            RetryPolicy::default(),
+            ObsSink::disabled(),
+        );
+        assert_ne!(a.jitter_word(), a.jitter_word());
+        assert_ne!(a.jitter_word(), b.jitter_word());
+    }
+
+    #[test]
+    fn unreachable_site_is_down_after_bounded_attempts() {
+        // A port nothing listens on: every attempt fails to connect, and
+        // the client gives up with SiteDown after max_attempts.
+        let policy = RetryPolicy {
+            connect_timeout: Duration::from_millis(50),
+            request_timeout: Duration::from_millis(50),
+            max_attempts: 3,
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(2),
+        };
+        // Bind-then-drop to get a port that is closed right now.
+        let addr = {
+            let l = TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap()
+        };
+        let client = MuxClient::new(SiteId::new(1), addr, policy, ObsSink::disabled());
+        let err = client
+            .call(Payload::Prepare {
+                gtx: amc_types::GlobalTxnId::new(1),
+            })
+            .unwrap_err();
+        assert!(matches!(err, AmcError::SiteDown(s) if s == SiteId::new(1)));
+    }
 
     /// The timeout-withdraw vs reader-completion race, replayed by hand:
     /// the reader has already pulled the caller's id out of `pending`

@@ -251,10 +251,13 @@ impl MixGen {
         let from_obj = object(from, self.draw_key());
         let to_obj = object(to, self.draw_key());
         let mut per_site: BTreeMap<SiteId, Vec<Operation>> = BTreeMap::new();
-        per_site.entry(from).or_default().push(Operation::Increment {
-            obj: from_obj,
-            delta: -amount,
-        });
+        per_site
+            .entry(from)
+            .or_default()
+            .push(Operation::Increment {
+                obj: from_obj,
+                delta: -amount,
+            });
         per_site.entry(to).or_default().push(Operation::Increment {
             obj: to_obj,
             delta: amount,
@@ -328,9 +331,9 @@ impl MixGen {
     /// read — spread over 1..=`max_fanout` sites, closed by one
     /// order-record write at the home site. Total 5–15 operations.
     fn tpcc_lite(&mut self) -> BTreeMap<SiteId, Vec<Operation>> {
-        let fanout = 1 + self.rng.below(u64::from(self.spec.max_fanout.clamp(1, 3).min(
-            self.spec.sites,
-        ))) as u32;
+        let fanout = 1 + self.rng.below(u64::from(
+            self.spec.max_fanout.clamp(1, 3).min(self.spec.sites),
+        )) as u32;
         let sites = self.distinct_sites(fanout);
         let home = sites[0];
         let mut per_site: BTreeMap<SiteId, Vec<Operation>> = BTreeMap::new();
@@ -342,10 +345,13 @@ impl MixGen {
             .or_default()
             .push(Operation::Read { obj: customer });
         let district = object(home, self.draw_key());
-        per_site.entry(home).or_default().push(Operation::Increment {
-            obj: district,
-            delta: 1 + self.rng.below(20) as i64,
-        });
+        per_site
+            .entry(home)
+            .or_default()
+            .push(Operation::Increment {
+                obj: district,
+                delta: 1 + self.rng.below(20) as i64,
+            });
 
         // 2..=11 order lines: escrow stock reserves at remote warehouses,
         // every third line preceded by an item read. Budget: 2 header ops
@@ -365,10 +371,13 @@ impl MixGen {
                     .push(Operation::Read { obj: stock });
                 emitted += 1;
             }
-            per_site.entry(warehouse).or_default().push(Operation::Reserve {
-                obj: stock,
-                amount: 1 + self.rng.below(3),
-            });
+            per_site
+                .entry(warehouse)
+                .or_default()
+                .push(Operation::Reserve {
+                    obj: stock,
+                    amount: 1 + self.rng.below(3),
+                });
             emitted += 1;
         }
 
@@ -386,7 +395,7 @@ impl MixGen {
     /// (one `+d`/`-d` increment pair on one site); the rest are long
     /// read-only scans of 12–24 hot keys over up to two sites.
     fn read_heavy(&mut self) -> BTreeMap<SiteId, Vec<Operation>> {
-        if self.produced % 4 == 0 {
+        if self.produced.is_multiple_of(4) {
             let site = self.draw_site();
             let delta = 1 + self.rng.below(5) as i64;
             let up = object(site, self.draw_key());

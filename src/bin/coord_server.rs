@@ -107,7 +107,7 @@ fn main() {
         backoff_base: Duration::from_millis(5),
         backoff_cap: Duration::from_millis(50),
     };
-    let transport = Arc::new(TcpTransport::new(addr_map, policy, ObsSink::disabled()));
+    let transport = Arc::new(TcpTransport::new_mux(addr_map, policy, ObsSink::disabled()));
     let cfg = FederationConfig::uniform(sites, protocol).sharded(slot, coordinators);
     let mut fed = Federation::with_transport(cfg, transport as Arc<dyn FederationTransport>);
     fed.set_recording(false, false);

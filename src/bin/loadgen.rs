@@ -60,7 +60,7 @@ fn usage() -> ! {
          --protocol <2pc|commit-after|commit-before> [--txns <n>] [--clients <n>] \
          [--objects <n>] [--seed <n>] \
          [--workload <transfer|zipf|hotkey|tpcc-lite|read-heavy>] [--theta <0..=2>] \
-         [--events-out <path>] [--client <mux|pooled>]\n\
+         [--events-out <path>]\n\
        or: amc-loadgen --coordinators <addr,addr,...> [--txns <n>] [--clients <n>] \
          [--objects <n>] [--seed <n>] [--events-out <path>]"
     );
@@ -187,9 +187,6 @@ fn main() {
     let mut workload: Option<MixKind> = None;
     let mut theta = 0.6f64;
     let mut events_out: Option<String> = None;
-    // Mux by default: one pipelined connection per site regardless of
-    // how many worker threads drive transactions through it.
-    let mut mux = true;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -266,14 +263,6 @@ fn main() {
                 i += 1;
                 events_out = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
             }
-            "--client" => {
-                i += 1;
-                mux = match args.get(i).map(String::as_str) {
-                    Some("mux") => true,
-                    Some("pooled") => false,
-                    _ => usage(),
-                };
-            }
             _ => usage(),
         }
         i += 1;
@@ -303,11 +292,13 @@ fn main() {
         .enumerate()
         .map(|(idx, addr)| (SiteId::new(idx as u32 + 1), *addr))
         .collect();
-    let tcp = Arc::new(if mux {
-        TcpTransport::new_mux(site_addrs, RetryPolicy::default(), obs.clone())
-    } else {
-        TcpTransport::new(site_addrs, RetryPolicy::default(), obs.clone())
-    });
+    // One pipelined connection per site regardless of how many worker
+    // threads drive transactions through it.
+    let tcp = Arc::new(TcpTransport::new_mux(
+        site_addrs,
+        RetryPolicy::default(),
+        obs.clone(),
+    ));
     let transport = tcp.clone();
 
     // Wait for every site to answer a ping (servers may still be binding).

@@ -151,7 +151,7 @@ fn main() {
         backoff_base: Duration::from_millis(5),
         backoff_cap: Duration::from_millis(50),
     };
-    let transport = Arc::new(TcpTransport::new(addr_map, policy, ObsSink::disabled()));
+    let transport = Arc::new(TcpTransport::new_mux(addr_map, policy, ObsSink::disabled()));
     // The acceptor logs live in the *site servers*; the log_dir here only
     // matters for in-process deployments and stays unused over TCP.
     let cfg = FederationConfig::uniform(sites, ProtocolKind::TwoPhaseCommit).with_paxos_commit(

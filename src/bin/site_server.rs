@@ -23,7 +23,7 @@ use amc_net::comm::EngineHandle;
 use amc_net::{LocalCommManager, SubmitMode};
 use amc_obs::ObsSink;
 use amc_paxos::AcceptorHost;
-use amc_rpc::{EventServer, SiteRecoveryManager, SiteServer};
+use amc_rpc::{EventServer, SiteRecoveryManager};
 use amc_types::SiteId;
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,19 +32,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: amc-site-server --site <n> --listen <host:port> \
          --protocol <2pc|commit-after|commit-before> [--lock-timeout-ms <ms>] \
-         [--wal-dir <dir>] [--acceptor-log <path>] \
-         [--runtime <event-loop|threaded>]"
+         [--wal-dir <dir>] [--acceptor-log <path>]"
     );
     std::process::exit(2);
-}
-
-/// Which server runtime fronts the site.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Runtime {
-    /// Epoll loop + worker pool (the default).
-    EventLoop,
-    /// Thread per connection (the legacy runtime).
-    Threaded,
 }
 
 fn main() {
@@ -55,7 +45,6 @@ fn main() {
     let mut lock_timeout = Duration::from_millis(500);
     let mut wal_dir: Option<String> = None;
     let mut acceptor_log: Option<String> = None;
-    let mut runtime = Runtime::EventLoop;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -88,14 +77,6 @@ fn main() {
             "--acceptor-log" => {
                 i += 1;
                 acceptor_log = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--runtime" => {
-                i += 1;
-                runtime = match args.get(i).map(String::as_str) {
-                    Some("event-loop") => Runtime::EventLoop,
-                    Some("threaded") => Runtime::Threaded,
-                    _ => usage(),
-                };
             }
             _ => usage(),
         }
@@ -160,49 +141,25 @@ fn main() {
         }
     });
 
-    // Both runtimes retry AddrInUse internally, so a restart in place
+    // The server retries AddrInUse internally, so a restart in place
     // (same port) survives the kernel's TIME_WAIT on the old listener.
-    let addr = match runtime {
-        Runtime::EventLoop => {
-            match EventServer::spawn_with_acceptor(
-                site,
-                manager,
-                mode,
-                &listen,
-                ObsSink::disabled(),
-                acceptor,
-            ) {
-                Ok(s) => {
-                    let addr = s.addr();
-                    // Leak: the server lives for the process.
-                    std::mem::forget(s);
-                    addr
-                }
-                Err(e) => {
-                    eprintln!("bind {listen}: {e}");
-                    std::process::exit(1);
-                }
-            }
+    let addr = match EventServer::spawn_with_acceptor(
+        site,
+        manager,
+        mode,
+        &listen,
+        ObsSink::disabled(),
+        acceptor,
+    ) {
+        Ok(s) => {
+            let addr = s.addr();
+            // Leak: the server lives for the process.
+            std::mem::forget(s);
+            addr
         }
-        Runtime::Threaded => {
-            match SiteServer::spawn_with_acceptor(
-                site,
-                manager,
-                mode,
-                &listen,
-                ObsSink::disabled(),
-                acceptor,
-            ) {
-                Ok(s) => {
-                    let addr = s.addr();
-                    std::mem::forget(s);
-                    addr
-                }
-                Err(e) => {
-                    eprintln!("bind {listen}: {e}");
-                    std::process::exit(1);
-                }
-            }
+        Err(e) => {
+            eprintln!("bind {listen}: {e}");
+            std::process::exit(1);
         }
     };
     println!("listening on {addr}");

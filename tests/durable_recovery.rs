@@ -67,24 +67,6 @@ fn fast_policy() -> RetryPolicy {
     }
 }
 
-/// The `amc-site-server` binary, found next to (or above) this test
-/// executable in the target directory.
-fn server_bin() -> PathBuf {
-    let exe = std::env::current_exe().expect("test exe path");
-    let mut dir = exe.parent();
-    while let Some(d) = dir {
-        let candidate = d.join("amc-site-server");
-        if candidate.exists() {
-            return candidate;
-        }
-        dir = d.parent();
-    }
-    panic!(
-        "amc-site-server not found near {}; build it first (cargo build -p amc-rpc)",
-        exe.display()
-    );
-}
-
 /// One spawned site-server process; killed on drop so failed assertions
 /// do not leak children.
 struct SiteProc {
@@ -101,7 +83,7 @@ impl Drop for SiteProc {
 }
 
 fn spawn_site(site: u32, protocol: ProtocolKind, wal_dir: &Path, listen: &str) -> SiteProc {
-    let mut child = Command::new(server_bin())
+    let mut child = Command::new(env!("CARGO_BIN_EXE_amc-site-server"))
         .args([
             "--site",
             &site.to_string(),
@@ -208,7 +190,7 @@ fn kill9_run(protocol: ProtocolKind) {
         .collect();
     let addrs: BTreeMap<SiteId, SocketAddr> = procs.iter().map(|(s, p)| (*s, p.addr)).collect();
     let obs = ObsSink::enabled(1 << 16);
-    let transport = Arc::new(TcpTransport::new(addrs.clone(), fast_policy(), obs));
+    let transport = Arc::new(TcpTransport::new_mux(addrs.clone(), fast_policy(), obs));
     let fed = Federation::with_transport(
         FederationConfig::uniform(SITES, protocol),
         Arc::clone(&transport) as Arc<dyn FederationTransport>,
@@ -342,7 +324,7 @@ fn killed_piggybacked_prepare_recovers_identically_to_classic() {
         let wal_dir = fresh_dir(tag);
         let proc = spawn_site(site.raw(), protocol, &wal_dir, "127.0.0.1:0");
         let addrs = BTreeMap::from([(site, proc.addr)]);
-        let transport = TcpTransport::new(addrs.clone(), fast_policy(), ObsSink::disabled());
+        let transport = TcpTransport::new_mux(addrs.clone(), fast_policy(), ObsSink::disabled());
         let data: Vec<(ObjectId, Value)> = (0..OBJS)
             .map(|i| (obj(1, i), Value::counter(PER_OBJ)))
             .collect();
@@ -382,7 +364,7 @@ fn killed_piggybacked_prepare_recovers_identically_to_classic() {
         drop(proc);
         let revived = spawn_site(site.raw(), protocol, &wal_dir, &addr.to_string());
         assert_eq!(revived.addr, addr, "{tag}: restart must reuse the port");
-        let transport = TcpTransport::new(addrs, fast_policy(), ObsSink::disabled());
+        let transport = TcpTransport::new_mux(addrs, fast_policy(), ObsSink::disabled());
         let stats = match transport.admin(site, AdminRequest::Recovery) {
             Ok(AdminReply::Recovery(Some(stats))) => stats,
             other => panic!("{tag}: unexpected recovery reply {other:?}"),

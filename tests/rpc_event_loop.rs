@@ -3,13 +3,12 @@
 //! Four families:
 //!
 //! 1. **Slow-writer framing** — a client dribbling a valid frame one
-//!    byte per read-timeout window must still be served by the blocking
-//!    [`SiteServer`]. The old loop used `read_exact` under a 100 ms
-//!    deadline: the first timeout mid-frame discarded the consumed
-//!    bytes, desyncing the stream and killing a healthy connection.
-//! 2. **Handle churn** — hundreds of sequential short-lived connections
-//!    must not leave hundreds of retained `JoinHandle`s behind; the
-//!    accept loop reaps finished handles.
+//!    byte per 110 ms (longer than the loop's 100 ms wait tick) must
+//!    still be served: the consumed prefix stays buffered in the
+//!    connection's frame buffer until the frame completes.
+//! 2. **Connection churn** — hundreds of sequential short-lived
+//!    connections must not leave hundreds of registered connections
+//!    behind; the loop closes each on its peer's EOF.
 //! 3. **Pipelining on the event loop** — many requests written
 //!    back-to-back on one connection all get answered, matched by
 //!    request id regardless of completion order; flooding past the
@@ -27,9 +26,7 @@ use amc::net::transport::{AdminReply, AdminRequest, FederationTransport};
 use amc::net::{LocalCommManager, Payload, SubmitMode};
 use amc::obs::ObsSink;
 use amc::rpc::wire::{read_frame, write_frame};
-use amc::rpc::{
-    EventServer, Frame, MuxClient, RetryPolicy, SiteServer, TcpTransport, MAX_IN_FLIGHT_PER_CONN,
-};
+use amc::rpc::{EventServer, Frame, MuxClient, RetryPolicy, TcpTransport, MAX_IN_FLIGHT_PER_CONN};
 use amc::types::{AmcError, GlobalTxnId, ObjectId, Operation, ProtocolKind, SiteId, Value};
 use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
@@ -66,12 +63,12 @@ fn read_until(stream: &mut TcpStream, deadline: Instant) -> Frame {
 
 // ------------------------------------------------- slow-writer framing --
 
-/// A frame fed one byte per (server) read-timeout window must parse; the
-/// consumed prefix survives every timeout tick in between.
+/// A frame fed one byte per (server) wait-tick window must parse; the
+/// consumed prefix survives every tick in between.
 #[test]
-fn blocking_server_survives_one_byte_per_timeout_window() {
+fn event_server_survives_one_byte_per_timeout_window() {
     let site = SiteId::new(1);
-    let srv = SiteServer::spawn(
+    let srv = EventServer::spawn(
         site,
         manager(site, Duration::from_millis(200)),
         SubmitMode::CommitBefore,
@@ -86,7 +83,7 @@ fn blocking_server_survives_one_byte_per_timeout_window() {
         req: AdminRequest::Ping,
     });
     // One byte per 110 ms: every byte lands in a different 100 ms server
-    // read window, so the server sees ~as many timeouts as bytes while
+    // wait window, so the loop sees ~as many idle ticks as bytes while
     // the frame accumulates.
     for b in &bytes {
         conn.write_all(std::slice::from_ref(b)).unwrap();
@@ -108,12 +105,12 @@ fn blocking_server_survives_one_byte_per_timeout_window() {
 
 // ----------------------------------------------------------- churn leak --
 
-/// Several hundred sequential connections must not accumulate several
-/// hundred retained connection-thread handles.
+/// Several hundred sequential connections must not leave several hundred
+/// connections registered with the loop.
 #[test]
-fn connection_churn_keeps_retained_handles_bounded() {
+fn connection_churn_keeps_registered_connections_bounded() {
     let site = SiteId::new(1);
-    let srv = SiteServer::spawn(
+    let srv = EventServer::spawn(
         site,
         manager(site, Duration::from_millis(200)),
         SubmitMode::CommitBefore,
@@ -137,18 +134,17 @@ fn connection_churn_keeps_retained_handles_bounded() {
         .unwrap();
         let reply = read_until(&mut conn, Instant::now() + Duration::from_secs(5));
         assert_eq!(reply.req_id(), i as u64);
-        // Dropping `conn` closes it; its server thread finishes within a
-        // read-timeout tick and the next accept reaps the handle.
+        // Dropping `conn` closes it; the loop sees EOF and deregisters.
     }
-    // Give the last few threads a moment to notice their sockets closed,
-    // then churn one more connection so the accept loop reaps.
-    std::thread::sleep(Duration::from_millis(300));
-    let _probe = TcpStream::connect(srv.addr()).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
-    let retained = srv.connection_threads();
+    // Give the loop a moment to process the last few EOFs.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while srv.stats().current_connections > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let registered = srv.stats().current_connections;
     assert!(
-        retained < CHURN / 4,
-        "{retained} connection-thread handles retained after churning {CHURN} connections"
+        registered < (CHURN / 4) as u64,
+        "{registered} connections still registered after churning {CHURN} connections"
     );
     srv.shutdown();
 }

@@ -2,7 +2,7 @@
 //! servers over loopback TCP, through the framed codec and the
 //! deadline/retry client — including a site restart mid-run.
 //!
-//! For each protocol: spawn one [`SiteServer`] per site (ephemeral
+//! For each protocol: spawn one [`EventServer`] per site (ephemeral
 //! loopback ports), run a mixed transfer workload through
 //! `Federation::with_transport`, then kill one site's server, crash and
 //! recover its engine, and respawn the server **in place on the same
@@ -19,11 +19,11 @@ use amc::net::comm::EngineHandle;
 use amc::net::transport::FederationTransport;
 use amc::net::LocalCommManager;
 use amc::obs::{EventKind, ObsSink};
-use amc::rpc::{RetryPolicy, SiteServer, TcpTransport};
+use amc::rpc::{EventServer, RetryPolicy, TcpTransport};
 use amc::types::{ObjectId, Operation, ProtocolKind, SiteId, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SITES: u32 = 2;
 const OBJS: u64 = 8;
@@ -50,7 +50,7 @@ fn fast_policy() -> RetryPolicy {
 struct Site {
     engine: Arc<TwoPLEngine>,
     manager: Arc<LocalCommManager>,
-    server: Option<SiteServer>,
+    server: Option<EventServer>,
 }
 
 struct Cluster {
@@ -78,7 +78,7 @@ impl Cluster {
                 site,
                 EngineHandle::Preparable(Arc::clone(&engine) as _),
             ));
-            let server = SiteServer::spawn(
+            let server = EventServer::spawn(
                 site,
                 Arc::clone(&manager),
                 mode,
@@ -96,7 +96,7 @@ impl Cluster {
                 },
             );
         }
-        let transport = Arc::new(TcpTransport::new(addrs, fast_policy(), obs.clone()));
+        let transport = Arc::new(TcpTransport::new_mux(addrs, fast_policy(), obs.clone()));
         Cluster {
             mode,
             sites,
@@ -107,7 +107,7 @@ impl Cluster {
 
     /// Tear the site's server down (sockets die), crash + recover its
     /// engine, and bring a new server up **in place** — same port, so the
-    /// transport needs no repointing. `SiteServer::spawn` retries the
+    /// transport needs no repointing. `EventServer::spawn` retries the
     /// bind through whatever TIME_WAIT the dead listener left behind.
     fn restart_site(&mut self, site: SiteId) {
         let entry = self.sites.get_mut(&site).expect("known site");
@@ -116,7 +116,7 @@ impl Cluster {
         server.shutdown();
         entry.engine.crash();
         entry.engine.recover().expect("recovery");
-        let server = SiteServer::spawn(
+        let server = EventServer::spawn(
             site,
             Arc::clone(&entry.manager),
             self.mode,
@@ -239,4 +239,107 @@ fn commit_after_survives_site_restart() {
 #[test]
 fn commit_before_survives_site_restart() {
     restart_run(ProtocolKind::CommitBefore);
+}
+
+/// Classic 2PC over one-page sites: every pair of transfers collides at
+/// both sites. The coordinator sends each round one message at a time in
+/// ascending site order, so every transaction locks site 1's page before
+/// site 2's and no lock cycle can form across the two sites. Eight
+/// concurrent clients must therefore commit every program without a
+/// single attempt waiting out the L0 lock timeout. Sending a round's
+/// submits in parallel instead lets one transaction lock site 2 while
+/// another holds site 1; each then waits for the other, a cycle no local
+/// deadlock detector sees, until the lock timeout aborts one of them.
+#[test]
+fn two_phase_commit_never_deadlocks_across_sites() {
+    const CLIENTS: u64 = 8;
+    const PER_CLIENT: u64 = 25;
+    let protocol = ProtocolKind::TwoPhaseCommit;
+    let mode = amc::core::submit_mode_for(protocol);
+    let mut engines = Vec::new();
+    let mut servers = Vec::new();
+    let mut addrs = BTreeMap::new();
+    for s in 1..=SITES {
+        let site = SiteId::new(s);
+        let engine = Arc::new(TwoPLEngine::new(TplConfig {
+            buckets: 1,
+            lock_timeout: Duration::from_millis(500),
+            deadlock_check: Duration::from_millis(1),
+            ..TplConfig::default()
+        }));
+        let manager = Arc::new(LocalCommManager::new(
+            site,
+            EngineHandle::Preparable(Arc::clone(&engine) as _),
+        ));
+        let server = EventServer::spawn(site, manager, mode, "127.0.0.1:0", ObsSink::disabled())
+            .expect("bind loopback");
+        addrs.insert(site, server.addr());
+        engines.push(engine);
+        servers.push(server);
+    }
+    // A request deadline far past the lock timeout: a lock wait shows up
+    // as an abort vote, never as a resend.
+    let policy = RetryPolicy {
+        request_timeout: Duration::from_secs(10),
+        ..fast_policy()
+    };
+    let transport = Arc::new(TcpTransport::new_mux(addrs, policy, ObsSink::disabled()));
+    let fed = Arc::new(Federation::with_transport(
+        FederationConfig::uniform(SITES, protocol),
+        transport as Arc<dyn FederationTransport>,
+    ));
+    for s in 1..=SITES {
+        let data: Vec<(ObjectId, Value)> = (0..OBJS)
+            .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
+            .collect();
+        fed.load_site(SiteId::new(s), &data).expect("load");
+    }
+
+    let started = Instant::now();
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let fed = Arc::clone(&fed);
+            std::thread::spawn(move || {
+                let mut committed = 0u64;
+                for k in 0..PER_CLIENT {
+                    let program = transfer(c * PER_CLIENT + k);
+                    for _ in 0..10 {
+                        let report = fed.run_transaction(&program).expect("transport up");
+                        if report.outcome == TxnOutcome::Committed {
+                            committed += 1;
+                            break;
+                        }
+                    }
+                }
+                committed
+            })
+        })
+        .collect();
+    let committed: u64 = clients.into_iter().map(|h| h.join().unwrap()).sum();
+    let elapsed = started.elapsed();
+
+    // An engine aborts on its own only for a deadlock victim or a lock
+    // timeout; whatever is not a victim timed out.
+    let lock_timeouts: u64 = engines
+        .iter()
+        .map(|e| e.stats().erroneous_aborts - e.lock_stats().victims)
+        .sum();
+    assert_eq!(lock_timeouts, 0, "attempts aborted with LockTimeout");
+    assert_eq!(committed, CLIENTS * PER_CLIENT, "every program must commit");
+    assert!(
+        elapsed < Duration::from_secs(60),
+        "run stalled for {elapsed:?}"
+    );
+    let sum: i64 = fed
+        .dumps()
+        .expect("dumps")
+        .values()
+        .flat_map(|d| d.values())
+        .map(|v| v.counter)
+        .sum();
+    assert_eq!(sum, i64::from(SITES) * OBJS as i64 * PER_OBJ, "sum drifted");
+    drop(fed);
+    for srv in servers {
+        srv.shutdown();
+    }
 }

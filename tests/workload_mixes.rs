@@ -17,7 +17,7 @@ use amc::net::marker::is_marker;
 use amc::net::transport::FederationTransport;
 use amc::net::LocalCommManager;
 use amc::obs::ObsSink;
-use amc::rpc::{RetryPolicy, SiteServer, TcpTransport};
+use amc::rpc::{EventServer, RetryPolicy, TcpTransport};
 use amc::types::{Operation, SiteId};
 use amc::workload::{fingerprint, MixGen, MixKind, MixSpec, ZipfKeys};
 use std::collections::BTreeMap;
@@ -66,8 +66,7 @@ fn per_seed_streams_replay_bit_for_bit() {
             .map(|seed| fingerprint(&MixGen::new(kind, MixSpec::default(), seed).programs(80)))
             .collect();
         for seed in 0..4u64 {
-            let again =
-                fingerprint(&MixGen::new(kind, MixSpec::default(), seed).programs(80));
+            let again = fingerprint(&MixGen::new(kind, MixSpec::default(), seed).programs(80));
             assert_eq!(fps[seed as usize], again, "{kind:?} seed {seed} diverged");
         }
         for a in 0..4 {
@@ -159,14 +158,14 @@ fn hotkey_mix_conserves_sum_with_mlt_enabled() {
     assert_eq!(counter_sum(&fed), spec.initial_sum(), "sum drifted");
 }
 
-/// Spawn one loopback TCP [`SiteServer`] per site and return the
+/// Spawn one loopback TCP [`EventServer`] per site and return the
 /// federation wired through a real [`TcpTransport`], plus the servers
 /// (shut down by the caller after the run).
 fn tcp_federation(
     protocol: ProtocolKind,
     policy: ConflictPolicy,
     spec: &MixSpec,
-) -> (Arc<Federation>, Vec<SiteServer>) {
+) -> (Arc<Federation>, Vec<EventServer>) {
     let mode = amc::core::submit_mode_for(protocol);
     let mut servers = Vec::new();
     let mut addrs = BTreeMap::new();
@@ -182,12 +181,12 @@ fn tcp_federation(
             site,
             EngineHandle::Preparable(engine),
         ));
-        let server = SiteServer::spawn(site, manager, mode, "127.0.0.1:0", ObsSink::disabled())
+        let server = EventServer::spawn(site, manager, mode, "127.0.0.1:0", ObsSink::disabled())
             .expect("bind loopback");
         addrs.insert(site, server.addr());
         servers.push(server);
     }
-    let transport = Arc::new(TcpTransport::new(
+    let transport = Arc::new(TcpTransport::new_mux(
         addrs,
         RetryPolicy::default(),
         ObsSink::disabled(),
@@ -213,7 +212,11 @@ fn tcp_runtime_replays_the_same_stream_and_conserves() {
     let spec = hot_spec();
     let programs = MixGen::new(MixKind::HotKey, spec.clone(), 0xD0).programs(150);
     let des_fp = fingerprint(&MixGen::new(MixKind::HotKey, spec.clone(), 0xD0).programs(150));
-    assert_eq!(fingerprint(&programs), des_fp, "runtimes fed different streams");
+    assert_eq!(
+        fingerprint(&programs),
+        des_fp,
+        "runtimes fed different streams"
+    );
 
     let (fed, servers) =
         tcp_federation(ProtocolKind::CommitBefore, ConflictPolicy::Semantic, &spec);
@@ -224,7 +227,11 @@ fn tcp_runtime_replays_the_same_stream_and_conserves() {
     let m = fed.run_concurrent(batch, 4);
     assert!(m.committed > 0, "nothing committed over TCP");
     let _ = fed.resolve_pending();
-    assert_eq!(counter_sum(&fed), spec.initial_sum(), "sum drifted over TCP");
+    assert_eq!(
+        counter_sum(&fed),
+        spec.initial_sum(),
+        "sum drifted over TCP"
+    );
     drop(fed);
     for srv in servers {
         srv.shutdown();
