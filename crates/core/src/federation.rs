@@ -441,14 +441,6 @@ impl Federation {
         Ok(discharged)
     }
 
-    /// Start numbering transactions at `first` instead of 1. A
-    /// *replacement* coordinator replica must not reuse the ids its dead
-    /// predecessor already burned at the sites — ids only need to be
-    /// unique, not dense.
-    pub fn set_first_gtx(&self, first: u64) {
-        self.next_gtx.store(first.max(1), Ordering::Relaxed);
-    }
-
     /// The in-process acceptor group, when this federation was built with
     /// a [`PaxosCommitConfig`] (fault-injection switchboard for tests and
     /// experiments).
@@ -723,9 +715,25 @@ impl Federation {
                 // emission order — ascending site order — so every
                 // transaction takes its L0 locks in the same site order
                 // and no lock cycle can form across sites.
+                //
+                // Once a work-round send comes back as a no vote (or its
+                // site is unreachable) the transaction is doomed, so the
+                // rest of the batch's work sends are skipped: a site that
+                // never ran its operations cannot hold stock or locks a
+                // concurrent transaction needs. The abort path reaches
+                // those sites anyway — a decision leaves a tombstone, and
+                // a commit-before site with no vote gets an inquiry.
+                let mut work_doomed = false;
                 for action in actions {
                     match action {
                         CoordAction::Send { site, payload } => {
+                            let work_send = matches!(
+                                payload,
+                                Payload::Submit { .. } | Payload::SubmitPrepare { .. }
+                            );
+                            if work_doomed && work_send {
+                                continue;
+                            }
                             // Replicated coordination opens the instance
                             // set between the work and prepare rounds:
                             // prepare-round votes (and only those) then
@@ -746,19 +754,11 @@ impl Federation {
                                     }
                                 }
                             }
-                            if matches!(
-                                payload,
-                                Payload::Submit { .. } | Payload::SubmitPrepare { .. }
-                            ) {
+                            if work_send {
                                 submit_started.insert(site, Instant::now());
                             }
                             let was_prepare = matches!(payload, Payload::Prepare { .. });
-                            let vote_phase = matches!(
-                                payload,
-                                Payload::Submit { .. }
-                                    | Payload::SubmitPrepare { .. }
-                                    | Payload::Prepare { .. }
-                            );
+                            let vote_phase = work_send || was_prepare;
                             messages += 2; // request + reply
                             let reply = match self.dispatch(site, payload.clone()) {
                                 Ok(reply) => reply,
@@ -770,6 +770,7 @@ impl Federation {
                                         // crash race: it may in fact have
                                         // committed locally before dying).
                                         crashed_voters.push(site);
+                                        work_doomed |= work_send;
                                         queue.push_back(CoordEvent::Vote {
                                             site,
                                             vote: LocalVote::Aborted,
@@ -802,6 +803,7 @@ impl Federation {
                                     if vote.is_yes() && self.record_history {
                                         self.record_site_ops(gtx, site, per_site);
                                     }
+                                    work_doomed |= work_send && !vote.is_yes();
                                     if let Some(px) = paxos {
                                         if was_prepare && registration_done {
                                             self.paxos_replicate_vote(

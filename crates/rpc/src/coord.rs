@@ -1,4 +1,4 @@
-//! The TCP coordinator server and its client: the router↔coordinator
+//! The coordinator server and its client: the router↔coordinator
 //! surface of the sharded topology.
 //!
 //! A [`CoordServer`] fronts one [`Federation`] coordinator — one shard
@@ -11,30 +11,27 @@
 //! its site fleet, and one [`CoordReply::Done`] comes back with the
 //! outcome and the coordinator-side measurements.
 //!
-//! Concurrency model: thread-per-connection (a router holds few,
-//! long-lived connections, and each `Exec` blocks its thread for a whole
-//! commit protocol run). Malformed frames kill their own connection and
-//! nothing else. Application failures travel as `ErrorReply` frames —
-//! the transport stays healthy; the answer is an error.
+//! Both halves reuse the site runtime. The server is an [`EventServer`]
+//! with a coordinator handler, so it gets the same epoll loop, worker
+//! pool, load shedding and panic isolation; each `Exec` holds one worker
+//! for a whole commit protocol run. The client is a [`MuxClient`]
+//! addressed as [`SiteId::CENTRAL`]. Frames of the wrong kind close
+//! their own connection and nothing else. Application failures travel as
+//! `ErrorReply` frames — the transport stays healthy; the answer is an
+//! error.
 //!
 //! [`Federation`]: amc_core::Federation
 
-use crate::event_loop::bind_with_retry;
-use crate::mux::RetryPolicy;
-use crate::wire::{read_frame, write_frame, CoordReply, CoordRequest, Frame, FrameBuffer};
+use crate::event_loop::{EventServer, EventServerStats, Handler};
+use crate::mux::{MuxClient, RetryPolicy};
+use crate::wire::{CoordReply, CoordRequest, Frame};
 use amc_core::{Federation, TxnOutcome};
+use amc_obs::ObsSink;
 use amc_types::{AmcError, AmcResult, GlobalTxnId, Operation, SiteId};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::io::{self, Read as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// How often a blocked connection read wakes up to check the stop flag.
-const STOP_POLL: Duration = Duration::from_millis(100);
 
 /// A coordinator's advertised identity: what [`CoordRequest::Describe`]
 /// answers.
@@ -65,13 +62,9 @@ pub struct ExecReport {
 }
 
 /// A running coordinator server. Dropping it (or calling
-/// [`CoordServer::shutdown`]) stops the listener and joins every
-/// connection thread.
+/// [`CoordServer::shutdown`]) stops the loop and its workers.
 pub struct CoordServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    server: EventServer,
 }
 
 impl CoordServer {
@@ -87,199 +80,102 @@ impl CoordServer {
         info: CoordInfo,
         listen: &str,
     ) -> io::Result<CoordServer> {
-        let listener: TcpListener = bind_with_retry(listen)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept_thread = {
-            let stop = Arc::clone(&stop);
-            let conn_threads = Arc::clone(&conn_threads);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let federation = Arc::clone(&federation);
-                    let info = info.clone();
-                    let stop = Arc::clone(&stop);
-                    let handle = std::thread::spawn(move || {
-                        serve_coord_connection(stream, &federation, &info, &stop);
-                    });
-                    let mut threads = conn_threads.lock();
-                    threads.retain(|h: &JoinHandle<()>| !h.is_finished());
-                    threads.push(handle);
-                }
-            })
-        };
-        Ok(CoordServer {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-            conn_threads,
-        })
+        let handler = CoordHandler { federation, info };
+        let server = EventServer::serve(SiteId::CENTRAL, listen, Arc::new(handler))?;
+        Ok(CoordServer { server })
     }
 
     /// The address the server actually listens on.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
-    /// Stop accepting, close the listener, and join every thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
+    /// Current loop counters.
+    pub fn stats(&self) -> EventServerStats {
+        self.server.stats()
     }
 
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-        for h in self.conn_threads.lock().drain(..) {
-            let _ = h.join();
-        }
+    /// Stop the loop and the workers, dropping every connection.
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }
 
-impl Drop for CoordServer {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.stop_and_join();
-        }
-    }
+/// The coordinator handler: answers coordinator frames from one
+/// federation.
+struct CoordHandler {
+    federation: Arc<Federation>,
+    info: CoordInfo,
 }
 
-/// Serve one coordinator request: run it and build the reply frame.
-/// `None` for frames a coordinator must never receive (drop the
-/// connection).
-fn coord_reply_for_frame(frame: Frame, federation: &Federation, info: &CoordInfo) -> Option<Frame> {
-    let Frame::CoordRequest { req_id, req } = frame else {
-        return None;
-    };
-    Some(match req {
-        CoordRequest::Ping => Frame::CoordReply {
-            req_id,
-            reply: CoordReply::Pong,
-        },
-        CoordRequest::Describe => Frame::CoordReply {
-            req_id,
-            reply: CoordReply::Coord {
-                slot: info.slot,
-                coordinators: info.coordinators,
-                epoch: info.epoch,
-                sites: info.sites.clone(),
+impl Handler for CoordHandler {
+    fn accepts(&self, frame: &Frame) -> bool {
+        matches!(frame, Frame::CoordRequest { .. })
+    }
+
+    fn handle(&self, frame: Frame) -> Frame {
+        let Frame::CoordRequest { req_id, req } = frame else {
+            unreachable!("a coordinator server never dispatches {frame:?}");
+        };
+        let reply = match req {
+            CoordRequest::Ping => CoordReply::Pong,
+            CoordRequest::Describe => CoordReply::Coord {
+                slot: self.info.slot,
+                coordinators: self.info.coordinators,
+                epoch: self.info.epoch,
+                sites: self.info.sites.clone(),
             },
-        },
-        CoordRequest::Exec { per_site } => match federation.run_transaction(&per_site) {
-            Ok(report) => Frame::CoordReply {
-                req_id,
-                reply: CoordReply::Done {
+            CoordRequest::Exec { per_site } => match self.federation.run_transaction(&per_site) {
+                Ok(report) => CoordReply::Done {
                     gtx: report.gtx,
                     outcome: report.outcome,
                     latency_us: report.latency.as_micros() as u64,
                     messages: report.messages,
                 },
+                Err(error) => return Frame::ErrorReply { req_id, error },
             },
-            Err(error) => Frame::ErrorReply { req_id, error },
-        },
-    })
-}
-
-/// One connection's request loop. Reads go through a [`FrameBuffer`], so
-/// a frame split across read-timeout ticks still parses.
-fn serve_coord_connection(
-    mut stream: TcpStream,
-    federation: &Federation,
-    info: &CoordInfo,
-    stop: &AtomicBool,
-) {
-    if stream.set_read_timeout(Some(STOP_POLL)).is_err() {
-        return;
-    }
-    let _ = stream.set_nodelay(true);
-    let mut buf = FrameBuffer::new();
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed
-            Ok(n) => buf.extend(&chunk[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => return,
-        }
-        loop {
-            let frame = match buf.next_frame() {
-                Ok(Some(frame)) => frame,
-                // Partial frame: wait for more bytes.
-                Ok(None) => break,
-                // Garbage: frame boundaries are gone — drop the
-                // connection (never the server).
-                Err(_) => return,
-            };
-            let Some(reply) = coord_reply_for_frame(frame, federation, info) else {
-                return;
-            };
-            if write_frame(&mut stream, &reply).is_err() {
-                return;
-            }
-        }
+        };
+        Frame::CoordReply { req_id, reply }
     }
 }
 
 // ---------------------------------------------------------------- client --
 
-/// A blocking client for one coordinator server.
+/// A client for one coordinator server: typed requests over a
+/// [`MuxClient`], so any number of threads share one connection.
 ///
 /// [`CoordClient::ping`] and [`CoordClient::describe`] retry with the
 /// policy's backoff (they are idempotent); [`CoordClient::exec`] makes
-/// exactly **one** attempt — a transaction is not idempotent, and a
-/// transport failure after the frame left leaves the outcome unknown, so
-/// the client surfaces `SiteDown` and lets the caller decide (the load
-/// generator counts it as an error, never as a silent retry that could
-/// double-apply).
+/// exactly **one** transport attempt — a transaction is not idempotent,
+/// and a transport failure after the frame left leaves the outcome
+/// unknown, so the client surfaces `SiteDown(CENTRAL)` and lets the
+/// caller decide (the load generator counts it as an error, never as a
+/// silent retry that could double-apply). A load-shed answer is retried
+/// even for `exec`: the server never dispatched that request.
 pub struct CoordClient {
-    addr: SocketAddr,
-    policy: RetryPolicy,
-    pool: Mutex<Vec<TcpStream>>,
-    next_req: AtomicU64,
+    mux: MuxClient,
 }
 
 impl CoordClient {
-    /// A client for the coordinator at `addr`.
+    /// A client for the coordinator at `addr`. No connection is made
+    /// until the first call.
     pub fn new(addr: SocketAddr, policy: RetryPolicy) -> Self {
         CoordClient {
-            addr,
-            policy,
-            pool: Mutex::new(Vec::new()),
-            next_req: AtomicU64::new(1),
+            mux: MuxClient::new(SiteId::CENTRAL, addr, policy, ObsSink::disabled()),
         }
-    }
-
-    /// The address this client dials.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
     }
 
     /// Liveness probe, retried per the policy.
     pub fn ping(&self) -> AmcResult<()> {
-        match self.with_retries(CoordRequest::Ping, self.policy.max_attempts)? {
+        match self.call(CoordRequest::Ping, true)? {
             CoordReply::Pong => Ok(()),
-            other => Err(AmcError::Protocol(format!(
-                "coordinator answered ping with {other:?}"
-            ))),
+            other => Err(unexpected("ping", other)),
         }
     }
 
     /// Ask the coordinator who it is, retried per the policy.
     pub fn describe(&self) -> AmcResult<CoordInfo> {
-        match self.with_retries(CoordRequest::Describe, self.policy.max_attempts)? {
+        match self.call(CoordRequest::Describe, true)? {
             CoordReply::Coord {
                 slot,
                 coordinators,
@@ -291,16 +187,14 @@ impl CoordClient {
                 epoch,
                 sites,
             }),
-            other => Err(AmcError::Protocol(format!(
-                "coordinator answered describe with {other:?}"
-            ))),
+            other => Err(unexpected("describe", other)),
         }
     }
 
     /// Run one global transaction through the coordinator. Exactly one
-    /// attempt (see the type docs).
+    /// transport attempt (see the type docs).
     pub fn exec(&self, per_site: BTreeMap<SiteId, Vec<Operation>>) -> AmcResult<ExecReport> {
-        match self.with_retries(CoordRequest::Exec { per_site }, 1)? {
+        match self.call(CoordRequest::Exec { per_site }, false)? {
             CoordReply::Done {
                 gtx,
                 outcome,
@@ -312,75 +206,46 @@ impl CoordClient {
                 latency_us,
                 messages,
             }),
+            other => Err(unexpected("exec", other)),
+        }
+    }
+
+    fn call(&self, req: CoordRequest, idempotent: bool) -> AmcResult<CoordReply> {
+        let make_frame = |req_id| Frame::CoordRequest {
+            req_id,
+            req: req.clone(),
+        };
+        match self.mux.request(make_frame, idempotent)? {
+            Frame::CoordReply { reply, .. } => Ok(reply),
             other => Err(AmcError::Protocol(format!(
-                "coordinator answered exec with {other:?}"
+                "coordinator sent a non-coordinator frame {other:?}"
             ))),
         }
     }
+}
 
-    fn with_retries(&self, req: CoordRequest, max_attempts: u32) -> AmcResult<CoordReply> {
-        for attempt in 1..=max_attempts {
-            let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
-            let frame = Frame::CoordRequest {
-                req_id,
-                req: req.clone(),
-            };
-            match self.roundtrip(&frame) {
-                Ok(Frame::CoordReply { reply, .. }) => return Ok(reply),
-                Ok(Frame::ErrorReply { error, .. }) => return Err(error),
-                Ok(other) => {
-                    return Err(AmcError::Protocol(format!(
-                        "coordinator sent a non-coordinator frame {other:?}"
-                    )))
-                }
-                Err(()) if attempt < max_attempts => {
-                    std::thread::sleep(self.policy.backoff_after(attempt));
-                }
-                Err(()) => break,
-            }
-        }
-        // The coordinator is unreachable; reuse the SiteDown shape with
-        // the CENTRAL sentinel (a coordinator is the central system).
-        Err(AmcError::SiteDown(SiteId::CENTRAL))
-    }
-
-    /// One attempt: check out (or dial) a connection, write the frame,
-    /// read the matching reply. Any failure discards the connection.
-    fn roundtrip(&self, frame: &Frame) -> Result<Frame, ()> {
-        let mut conn = match self.pool.lock().pop() {
-            Some(c) => c,
-            None => self.dial()?,
-        };
-        conn.set_read_timeout(Some(self.policy.request_timeout))
-            .map_err(|_| ())?;
-        conn.set_write_timeout(Some(self.policy.request_timeout))
-            .map_err(|_| ())?;
-        write_frame(&mut conn, frame).map_err(|_| ())?;
-        let reply = read_frame(&mut conn).map_err(|_| ())?;
-        if reply.req_id() != frame.req_id() {
-            return Err(());
-        }
-        self.pool.lock().push(conn);
-        Ok(reply)
-    }
-
-    fn dial(&self) -> Result<TcpStream, ()> {
-        let conn =
-            TcpStream::connect_timeout(&self.addr, self.policy.connect_timeout).map_err(|_| ())?;
-        let _ = conn.set_nodelay(true);
-        Ok(conn)
-    }
+fn unexpected(request: &str, reply: CoordReply) -> AmcError {
+    AmcError::Protocol(format!("coordinator answered {request} with {reply:?}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use amc_core::{FederationConfig, ProtocolKind};
-    use amc_types::{ObjectId, Operation, Value};
+    use amc_types::{ObjectId, Value};
+    use std::time::Duration;
 
     fn spawn_coord(slot: u32, coordinators: u32) -> (CoordServer, Arc<Federation>) {
-        let cfg =
-            FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit).sharded(slot, coordinators);
+        spawn_coord_with(
+            FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit).sharded(slot, coordinators),
+        )
+    }
+
+    fn spawn_coord_with(cfg: FederationConfig) -> (CoordServer, Arc<Federation>) {
+        let (slot, coordinators) = cfg
+            .coordinator
+            .as_ref()
+            .map_or((0, 1), |id| (id.slot, id.coordinators));
         let mut fed = Federation::new(cfg);
         fed.set_recording(false, false);
         let fed = Arc::new(fed);
@@ -438,6 +303,50 @@ mod tests {
         assert_eq!(report.outcome, TxnOutcome::Aborted);
         // The connection survives the abort.
         client.ping().unwrap();
+        srv.shutdown();
+    }
+
+    #[test]
+    fn exec_past_the_request_timeout_is_central_down_after_one_dispatch() {
+        // Every site message takes 100 ms, so a two-site 2PC transaction
+        // runs ~800 ms — far past the client's 100 ms request deadline.
+        let mut cfg = FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit);
+        cfg.message_delay = Duration::from_millis(100);
+        let (srv, fed) = spawn_coord_with(cfg);
+        let obj = |s: u32| ObjectId::new(u64::from(s) << 32);
+        for s in 1..=2 {
+            fed.load_site(SiteId::new(s), &[(obj(s), Value::counter(10))])
+                .unwrap();
+        }
+        let policy = RetryPolicy {
+            request_timeout: Duration::from_millis(100),
+            max_attempts: 5,
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(2),
+            ..RetryPolicy::default()
+        };
+        let client = CoordClient::new(srv.addr(), policy);
+        let transfer = BTreeMap::from([
+            (
+                SiteId::new(1),
+                vec![Operation::Increment {
+                    obj: obj(1),
+                    delta: -1,
+                }],
+            ),
+            (
+                SiteId::new(2),
+                vec![Operation::Increment {
+                    obj: obj(2),
+                    delta: 1,
+                }],
+            ),
+        ]);
+        let err = client.exec(transfer).unwrap_err();
+        assert_eq!(err, AmcError::SiteDown(SiteId::CENTRAL));
+        // Exactly one Exec reached the coordinator: a transaction whose
+        // outcome is unknown is never sent again.
+        assert_eq!(srv.stats().dispatched, 1);
         srv.shutdown();
     }
 }

@@ -1,7 +1,12 @@
-//! The event-loop site-server runtime.
+//! The event-loop server runtime, shared by site servers and
+//! coordinator servers.
 //!
 //! One epoll thread owns every socket; a small worker pool owns every
-//! dispatch. The loop never blocks on I/O or on the engine:
+//! dispatch. What a server answers is its request handler, chosen once at
+//! spawn time: [`EventServer::spawn`] mounts the site handler, and
+//! [`CoordServer::spawn`](crate::CoordServer::spawn) mounts the
+//! coordinator handler on the same loop. The loop never blocks on I/O or
+//! on the engine:
 //!
 //! - **Reads** are nonblocking and incremental. Bytes land in a
 //!   per-connection [`FrameBuffer`]; a frame that arrives in ten pieces
@@ -22,6 +27,8 @@
 //!   [`ErrorReply`](Frame::ErrorReply) carrying
 //!   [`AmcError::BufferExhausted`], so an overloaded server stays
 //!   responsive and the client learns immediately instead of timing out.
+//! - **A handler panic** costs one request, not a worker: the worker
+//!   catches it and answers that request with an `ErrorReply`.
 //!
 //! Replies are written in completion order, not arrival order: the
 //! request id — echoed verbatim in every reply — is what lets a
@@ -39,6 +46,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -84,6 +92,9 @@ pub struct EventServerStats {
     /// Connections closed because a stalled reader let its write buffer
     /// exceed [`MAX_WBUF_BYTES`].
     pub wbuf_overflows: u64,
+    /// Requests whose handler panicked; each was answered with an
+    /// `ErrorReply` and its worker kept serving.
+    pub handler_panics: u64,
 }
 
 #[derive(Default)]
@@ -93,6 +104,18 @@ struct SharedStats {
     load_sheds: AtomicU64,
     dispatched: AtomicU64,
     wbuf_overflows: AtomicU64,
+    handler_panics: AtomicU64,
+}
+
+/// What an [`EventServer`] answers. Every worker shares one handler.
+pub(crate) trait Handler: Send + Sync {
+    /// Whether `frame` is a request this server answers. Any other frame
+    /// (a reply, or a request meant for the other kind of server) means
+    /// the peer is confused, and its connection is closed.
+    fn accepts(&self, frame: &Frame) -> bool;
+
+    /// Answer one request that [`Handler::accepts`] admitted.
+    fn handle(&self, frame: Frame) -> Frame;
 }
 
 /// A dispatch job: which connection asked, and what it asked.
@@ -135,8 +158,8 @@ struct Conn {
     closing: bool,
 }
 
-/// A running site server: one local system's engine + communication
-/// manager behind a loopback (or any) TCP listener. Dropping it (or
+/// A running server: a site's engine + communication manager, or a
+/// coordinator, behind a loopback (or any) TCP listener. Dropping it (or
 /// calling [`EventServer::shutdown`]) stops the loop and the workers.
 pub struct EventServer {
     site: SiteId,
@@ -180,6 +203,23 @@ impl EventServer {
         obs: ObsSink,
         acceptor: Option<Arc<AcceptorHost>>,
     ) -> io::Result<EventServer> {
+        let handler = SiteHandler {
+            site,
+            manager,
+            mode,
+            obs,
+            acceptor,
+        };
+        Self::serve(site, listen, Arc::new(handler))
+    }
+
+    /// Bind `listen` and answer every connection's requests with
+    /// `handler`. `site` is what [`EventServer::site`] reports.
+    pub(crate) fn serve(
+        site: SiteId,
+        listen: &str,
+        handler: Arc<dyn Handler>,
+    ) -> io::Result<EventServer> {
         let listener = bind_with_retry(listen)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -207,23 +247,23 @@ impl EventServer {
         let mut workers = Vec::with_capacity(n_workers);
         for _ in 0..n_workers {
             let pool = Arc::clone(&pool);
-            let manager = Arc::clone(&manager);
-            let obs = obs.clone();
-            let acceptor = acceptor.clone();
+            let handler = Arc::clone(&handler);
+            let stats = Arc::clone(&stats);
             workers.push(std::thread::spawn(move || {
-                worker_loop(&pool, site, &manager, mode, &obs, acceptor.as_deref());
+                worker_loop(&pool, &*handler, &stats);
             }));
         }
 
         let loop_thread = {
             let stop = Arc::clone(&stop);
+            let handler = Arc::clone(&handler);
             let pool = Arc::clone(&pool);
             let stats = Arc::clone(&stats);
             std::thread::spawn(move || {
                 // A loop that cannot set itself up serves nothing; every
                 // connection attempt will see ECONNREFUSED once the
                 // listener drops.
-                let _ = event_loop(listener, stop, pool, stats);
+                let _ = event_loop(listener, stop, pool, &*handler, stats);
             })
         };
 
@@ -238,7 +278,8 @@ impl EventServer {
         })
     }
 
-    /// The site this server fronts.
+    /// The site this server fronts ([`SiteId::CENTRAL`] for a
+    /// coordinator).
     pub fn site(&self) -> SiteId {
         self.site
     }
@@ -256,6 +297,7 @@ impl EventServer {
             load_sheds: self.stats.load_sheds.load(Ordering::Relaxed),
             dispatched: self.stats.dispatched.load(Ordering::Relaxed),
             wbuf_overflows: self.stats.wbuf_overflows.load(Ordering::Relaxed),
+            handler_panics: self.stats.handler_panics.load(Ordering::Relaxed),
         }
     }
 
@@ -326,76 +368,76 @@ fn dispatch_with_acceptor(
     Ok(reply)
 }
 
-/// Serve one request frame: dispatch it and build the reply frame.
-/// Returns `None` for frames a server must never receive (a peer sending
-/// *replies* is broken and its connection should be dropped).
-fn reply_for_frame(
-    frame: Frame,
+/// The site handler: protocol messages and admin requests against one
+/// local system's communication manager.
+struct SiteHandler {
     site: SiteId,
-    manager: &LocalCommManager,
+    manager: Arc<LocalCommManager>,
     mode: SubmitMode,
-    obs: &ObsSink,
-    acceptor: Option<&AcceptorHost>,
-) -> Option<Frame> {
-    match frame {
-        Frame::Request { req_id, payload } => {
-            obs.emit(
-                Some(payload.gtx()),
-                site,
-                EventKind::MsgDeliver {
-                    label: payload.label(),
-                    from: SiteId::CENTRAL,
-                },
-            );
-            Some(
-                match dispatch_with_acceptor(manager, payload, mode, acceptor) {
+    obs: ObsSink,
+    acceptor: Option<Arc<AcceptorHost>>,
+}
+
+impl Handler for SiteHandler {
+    fn accepts(&self, frame: &Frame) -> bool {
+        matches!(frame, Frame::Request { .. } | Frame::AdminRequest { .. })
+    }
+
+    fn handle(&self, frame: Frame) -> Frame {
+        let SiteHandler {
+            site,
+            manager,
+            mode,
+            obs,
+            acceptor,
+        } = self;
+        let acceptor = acceptor.as_deref();
+        match frame {
+            Frame::Request { req_id, payload } => {
+                obs.emit(
+                    Some(payload.gtx()),
+                    *site,
+                    EventKind::MsgDeliver {
+                        label: payload.label(),
+                        from: SiteId::CENTRAL,
+                    },
+                );
+                match dispatch_with_acceptor(manager, payload, *mode, acceptor) {
                     Ok(payload) => {
                         obs.emit(
                             Some(payload.gtx()),
-                            site,
+                            *site,
                             EventKind::MsgSend {
                                 label: payload.label(),
-                                from: site,
+                                from: *site,
                                 to: SiteId::CENTRAL,
                             },
                         );
                         Frame::Reply { req_id, payload }
                     }
                     Err(error) => Frame::ErrorReply { req_id, error },
-                },
-            )
+                }
+            }
+            Frame::AdminRequest { req_id, req } => {
+                let handled = acceptor.and_then(|h| h.admin_pre(&req));
+                let result = match handled {
+                    Some(reply) => Ok(reply),
+                    None => admin_to_manager(manager, req),
+                };
+                match result {
+                    Ok(reply) => Frame::AdminReply { req_id, reply },
+                    Err(error) => Frame::ErrorReply { req_id, error },
+                }
+            }
+            other => unreachable!("a site server never dispatches {other:?}"),
         }
-        Frame::AdminRequest { req_id, req } => {
-            let handled = acceptor.and_then(|h| h.admin_pre(&req));
-            let result = match handled {
-                Some(reply) => Ok(reply),
-                None => admin_to_manager(manager, req),
-            };
-            Some(match result {
-                Ok(reply) => Frame::AdminReply { req_id, reply },
-                Err(error) => Frame::ErrorReply { req_id, error },
-            })
-        }
-        // Coordinator frames belong to the router↔coordinator surface; a
-        // site server receiving one has a confused peer — drop it.
-        Frame::Reply { .. }
-        | Frame::AdminReply { .. }
-        | Frame::ErrorReply { .. }
-        | Frame::CoordRequest { .. }
-        | Frame::CoordReply { .. } => None,
     }
 }
 
-/// One worker: pull a job, dispatch it through the shared request path,
-/// hand the reply back to the loop, ring the doorbell.
-fn worker_loop(
-    pool: &Pool,
-    site: SiteId,
-    manager: &LocalCommManager,
-    mode: SubmitMode,
-    obs: &ObsSink,
-    acceptor: Option<&AcceptorHost>,
-) {
+/// One worker: pull a job, answer it through the handler, hand the
+/// reply back to the loop, ring the doorbell. A panicking handler costs
+/// its request an `ErrorReply`, never the worker.
+fn worker_loop(pool: &Pool, handler: &dyn Handler, stats: &SharedStats) {
     loop {
         let job = {
             let mut jobs = pool.jobs.lock();
@@ -409,11 +451,15 @@ fn worker_loop(
                 pool.jobs_cv.wait(&mut jobs);
             }
         };
-        // Only request-kind frames are ever enqueued, so `reply_for_frame`
-        // always produces a reply here.
-        let Some(reply) = reply_for_frame(job.frame, site, manager, mode, obs, acceptor) else {
-            continue;
-        };
+        let req_id = job.frame.req_id();
+        let reply =
+            catch_unwind(AssertUnwindSafe(|| handler.handle(job.frame))).unwrap_or_else(|_| {
+                stats.handler_panics.fetch_add(1, Ordering::Relaxed);
+                Frame::ErrorReply {
+                    req_id,
+                    error: AmcError::Protocol("request handler panicked".into()),
+                }
+            });
         pool.completions.lock().push(Completion {
             conn: job.conn,
             reply,
@@ -428,6 +474,7 @@ fn event_loop(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
     pool: Arc<Pool>,
+    handler: &dyn Handler,
     stats: Arc<SharedStats>,
 ) -> io::Result<()> {
     let poller = Poller::new()?;
@@ -458,7 +505,7 @@ fn event_loop(
                     };
                     let mut dead = ev.error;
                     if ev.readable && !dead {
-                        dead = read_ready(conn, token, &mut chunk, &pool, &stats);
+                        dead = read_ready(conn, token, &mut chunk, &pool, handler, &stats);
                     }
                     if ev.writable && !dead {
                         dead = flush(conn).is_err();
@@ -525,12 +572,13 @@ fn accept_ready(
 
 /// Drain the socket into the frame buffer and decode every complete
 /// frame. Returns `true` when the connection must die *immediately*
-/// (poisoned stream or peer sent reply-kind frames).
+/// (poisoned stream, or a frame the handler does not accept).
 fn read_ready(
     conn: &mut Conn,
     token: u64,
     chunk: &mut [u8],
     pool: &Pool,
+    handler: &dyn Handler,
     stats: &SharedStats,
 ) -> bool {
     loop {
@@ -550,7 +598,7 @@ fn read_ready(
     let mut jobs = Vec::new();
     loop {
         match conn.rbuf.next_frame() {
-            Ok(Some(frame @ (Frame::Request { .. } | Frame::AdminRequest { .. }))) => {
+            Ok(Some(frame)) if handler.accepts(&frame) => {
                 if conn.in_flight >= MAX_IN_FLIGHT_PER_CONN {
                     // Load shed: answer now, dispatch never. The reply
                     // goes through the same batched write path.
@@ -566,8 +614,8 @@ fn read_ready(
                     jobs.push(Job { conn: token, frame });
                 }
             }
-            // A server only accepts requests: a peer sending replies is
-            // broken.
+            // A peer sending replies, or requests for the other kind of
+            // server, is broken.
             Ok(Some(_)) => return true,
             Ok(None) => break,
             Err(_) => return true,
@@ -801,6 +849,73 @@ mod tests {
                 reply: AdminReply::Pong
             }
         );
+        srv.shutdown();
+    }
+
+    /// Panics on every protocol request; answers admin pings.
+    struct PanicsOnRequests;
+
+    impl Handler for PanicsOnRequests {
+        fn accepts(&self, frame: &Frame) -> bool {
+            matches!(frame, Frame::Request { .. } | Frame::AdminRequest { .. })
+        }
+
+        fn handle(&self, frame: Frame) -> Frame {
+            match frame {
+                Frame::AdminRequest { req_id, .. } => Frame::AdminReply {
+                    req_id,
+                    reply: AdminReply::Pong,
+                },
+                _ => panic!("injected handler fault"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_handler_panic_costs_its_request_an_error_reply_not_a_worker() {
+        let srv = EventServer::serve(SiteId::new(1), "127.0.0.1:0", Arc::new(PanicsOnRequests))
+            .expect("bind loopback");
+        // Twice as many panics as workers: without isolation every worker
+        // would be dead before the second half is even picked up.
+        let n = 2 * srv.workers.len() as u64;
+        let mut conn = TcpStream::connect(srv.addr()).unwrap();
+        for req_id in 1..=n {
+            let request = Frame::Request {
+                req_id,
+                payload: amc_net::Payload::Prepare {
+                    gtx: GlobalTxnId::new(req_id),
+                },
+            };
+            write_frame(&mut conn, &request).unwrap();
+        }
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut answered = std::collections::BTreeSet::new();
+        for _ in 0..n {
+            match read_frame(&mut conn).expect("every request is answered") {
+                Frame::ErrorReply { req_id, error } => {
+                    assert_eq!(error, AmcError::Protocol("request handler panicked".into()));
+                    answered.insert(req_id);
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(answered.len() as u64, n);
+        let reply = roundtrip(
+            &mut conn,
+            &Frame::AdminRequest {
+                req_id: n + 1,
+                req: AdminRequest::Ping,
+            },
+        );
+        assert_eq!(
+            reply,
+            Frame::AdminReply {
+                req_id: n + 1,
+                reply: AdminReply::Pong
+            }
+        );
+        assert_eq!(srv.stats().handler_panics, n);
         srv.shutdown();
     }
 }

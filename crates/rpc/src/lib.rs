@@ -8,19 +8,22 @@
 //!   hand-rolled binary body) over the `amc-net` [`amc_net::Payload`]
 //!   vocabulary, so the simulator and the networked runtime share one
 //!   message grammar;
-//! * [`event_loop`] — the **site server** ([`EventServer`]): one epoll
+//! * [`event_loop`] — the **server runtime** ([`EventServer`]): one epoll
 //!   thread multiplexing every connection, incremental frame decode,
-//!   batched reply writes, a worker pool dispatching each request to the
-//!   same `LocalCommManager` the in-process runtime uses, and explicit
-//!   per-connection backpressure (excess requests are shed with
-//!   `BufferExhausted`, not queued). Malformed frames kill their
-//!   connection, never the server;
-//! * [`coord`] — the TCP **coordinator server** + client: one
-//!   [`amc_core::Federation`] shard slot behind a listener speaking the
-//!   coordinator frames (kinds `5`/`6`), so a remote router or load
-//!   generator drives whole global transactions in one round trip;
+//!   batched reply writes, a worker pool answering each request through
+//!   one handler chosen at spawn time, and explicit per-connection
+//!   backpressure (excess requests are shed with `BufferExhausted`, not
+//!   queued). The site handler dispatches to the same `LocalCommManager`
+//!   the in-process runtime uses. Malformed or misdirected frames kill
+//!   their connection, and a panicking handler costs one request an
+//!   error reply — never the server;
+//! * [`coord`] — the **coordinator server** + client: one
+//!   [`amc_core::Federation`] shard slot served by an [`EventServer`]
+//!   with the coordinator handler (frame kinds `5`/`6`), so a remote
+//!   router or load generator drives whole global transactions in one
+//!   round trip; [`CoordClient`] is a typed wrapper over [`MuxClient`];
 //! * [`mux`] — the **RPC client** ([`MuxClient`]): one shared
-//!   connection per site, any number of concurrent callers, replies
+//!   connection per server, any number of concurrent callers, replies
 //!   matched to callers by request id in whatever order the server
 //!   finishes them; per-request deadlines, capped exponential-backoff
 //!   retries ([`RetryPolicy`]) and automatic reconnect, all surfaced as
@@ -33,14 +36,15 @@
 //!   [`SiteRecoveryManager`] rebuilds both after a `kill -9`, resolving
 //!   in-doubt transactions through the coordinator's inquiry path.
 //!
-//! There is one server runtime and one client. The coordinator sends a
-//! transaction's messages one at a time in ascending site order, so every
-//! transaction takes its L0 locks in the same order and no lock cycle
-//! can form across sites.
+//! There is one server runtime and one client, for sites and
+//! coordinators alike. The coordinator sends a transaction's messages one
+//! at a time in ascending site order, so every transaction takes its L0
+//! locks in the same order and no lock cycle can form across sites.
 //!
 //! The root package's binaries (`amc-site-server`, `amc-loadgen`,
-//! `amc-coord-server`, `amc-paxos-coord`) run the same pieces as
-//! separate OS processes; experiment E10 measures what the wire costs
+//! `amc-coord-server`) run the same pieces as separate OS processes;
+//! `amc-coord-server --acceptors` is also the leading replica of a Paxos
+//! Commit deployment. Experiment E10 measures what the wire costs
 //! relative to the in-process dispatcher.
 
 #![forbid(unsafe_code)]

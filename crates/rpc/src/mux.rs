@@ -1,7 +1,8 @@
 //! The multiplexed, pipelining RPC client.
 //!
-//! A [`MuxClient`] fronts one site and shares **one** connection among
-//! every caller. Each request is tagged with a fresh id and written to
+//! A [`MuxClient`] fronts one server — a site, or a coordinator addressed
+//! as [`SiteId::CENTRAL`] — and shares **one** connection among every
+//! caller. Each request is tagged with a fresh id and written to
 //! the shared socket; a dedicated reader thread decodes replies
 //! incrementally (through a [`FrameBuffer`], so partial frames survive
 //! read-timeout ticks) and completes whichever caller's id each reply
@@ -20,7 +21,10 @@
 //! is backed off and retried. Retrying protocol messages is safe by
 //! construction: every manager handler is idempotent (work map,
 //! tombstones, durable markers), which is exactly the property the
-//! paper's inquiry/repetition machinery already depends on.
+//! paper's inquiry/repetition machinery already depends on. A request
+//! that is not idempotent — a coordinator's `Exec` runs a whole
+//! transaction — gets one transport attempt through
+//! [`MuxClient::request`].
 
 use crate::wire::{write_frame, Frame, FrameBuffer};
 use amc_net::transport::{AdminReply, AdminRequest};
@@ -295,10 +299,13 @@ impl MuxClient {
     pub fn call(&self, payload: Payload) -> AmcResult<Payload> {
         let gtx = payload.gtx();
         let label = payload.label();
-        let reply = self.with_retries(|req_id| Frame::Request {
-            req_id,
-            payload: payload.clone(),
-        })?;
+        let reply = self.request(
+            |req_id| Frame::Request {
+                req_id,
+                payload: payload.clone(),
+            },
+            true,
+        )?;
         match reply {
             Frame::Reply { payload, .. } => {
                 self.obs.emit(
@@ -311,7 +318,6 @@ impl MuxClient {
                 );
                 Ok(payload)
             }
-            Frame::ErrorReply { error, .. } => Err(error),
             other => Err(AmcError::Protocol(format!(
                 "site answered {label} with a non-protocol frame {other:?}"
             ))),
@@ -320,20 +326,31 @@ impl MuxClient {
 
     /// Send one admin request and wait for the site's reply.
     pub fn admin(&self, req: AdminRequest) -> AmcResult<AdminReply> {
-        let reply = self.with_retries(|req_id| Frame::AdminRequest {
-            req_id,
-            req: req.clone(),
-        })?;
+        let reply = self.request(
+            |req_id| Frame::AdminRequest {
+                req_id,
+                req: req.clone(),
+            },
+            true,
+        )?;
         match reply {
             Frame::AdminReply { reply, .. } => Ok(reply),
-            Frame::ErrorReply { error, .. } => Err(error),
             other => Err(AmcError::Protocol(format!(
                 "site answered admin with a non-admin frame {other:?}"
             ))),
         }
     }
 
-    fn with_retries(&self, make_frame: impl Fn(u64) -> Frame) -> AmcResult<Frame> {
+    /// Send one request frame — `make_frame` stamps it with a fresh
+    /// request id per attempt — and wait for the reply frame. An
+    /// `ErrorReply` comes back as its error.
+    ///
+    /// A load-shed reply is always backed off and retried: the server
+    /// never dispatched that request. A transport failure is retried only
+    /// when the request is `idempotent`; otherwise the one attempt's
+    /// outcome is unknown and the call fails with `SiteDown`, so a
+    /// request that may already have run never runs twice.
+    pub fn request(&self, make_frame: impl Fn(u64) -> Frame, idempotent: bool) -> AmcResult<Frame> {
         for attempt in 1..=self.policy.max_attempts {
             let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
             let frame = make_frame(req_id);
@@ -366,7 +383,7 @@ impl MuxClient {
                         self.jitter_word(),
                     ));
                 }
-                Err(None) if attempt < self.policy.max_attempts => {
+                Err(None) if idempotent && attempt < self.policy.max_attempts => {
                     self.obs.emit(
                         gtx,
                         SiteId::CENTRAL,

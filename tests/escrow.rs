@@ -7,6 +7,7 @@
 //! aborted booking is a plain restock — no before image needed.
 
 use amc::core::{Federation, FederationConfig, ProtocolKind, TxnOutcome};
+use amc::net::Payload;
 use amc::types::{ObjectId, Operation, SiteId, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -67,6 +68,35 @@ fn concurrent_reserves_interleave_and_never_oversell() {
     let dumps = fed.dumps().unwrap();
     assert_eq!(dumps[&SiteId::new(1)][&obj(1, 0)], Value::counter(0));
     assert_eq!(dumps[&SiteId::new(2)][&obj(2, 0)], Value::counter(0));
+}
+
+#[test]
+fn a_booking_that_fails_at_the_first_site_never_reaches_the_second() {
+    // Site 1 is sold out, so the booking's first work send comes back as
+    // a no vote. The rest of the work round is skipped: site 2 never runs
+    // its reserve, so it never holds stock a concurrent booking needs.
+    // Under commit-before its final state is then asked for by inquiry.
+    let fed = loaded(ProtocolKind::CommitBefore);
+    fed.load_site(SiteId::new(1), &[(obj(1, 0), Value::counter(0))])
+        .unwrap();
+    let report = fed.run_transaction(&booking(1)).unwrap();
+    assert_eq!(report.outcome, TxnOutcome::Aborted);
+    let trace = fed.trace();
+    let to_site_2: Vec<&Payload> = trace
+        .entries()
+        .iter()
+        .filter(|e| e.envelope.to == SiteId::new(2))
+        .map(|e| &e.envelope.payload)
+        .collect();
+    assert!(
+        !to_site_2
+            .iter()
+            .any(|p| matches!(p, Payload::Submit { .. })),
+        "site 2 was sent {to_site_2:?}"
+    );
+    assert!(matches!(to_site_2[..], [Payload::Prepare { .. }]));
+    let dumps = fed.dumps().unwrap();
+    assert_eq!(dumps[&SiteId::new(2)][&obj(2, 0)], Value::counter(10));
 }
 
 #[test]

@@ -14,20 +14,20 @@
 //!   standby takeovers — against an in-process Paxos federation. After
 //!   the final standby sweep no transaction is open at any acceptor and
 //!   the global sum is conserved, every seed.
-//! * **kill -9 over TCP**: a real `amc-paxos-coord` process dies by
-//!   SIGKILL with a transaction fully prepared but undecided; a standby
-//!   replica in this test finishes it *Commit* from the acceptor logs
-//!   alone, a replacement coordinator process keeps committing, and the
-//!   books balance.
+//! * **kill -9 over TCP**: a real `amc-coord-server --acceptors`
+//!   process dies by SIGKILL with a transaction fully prepared but
+//!   undecided; a standby replica in this test finishes it *Commit* from
+//!   the acceptor logs alone, a replacement coordinator process keeps
+//!   committing, and the books balance.
 
-use amc::core::{Federation, FederationConfig};
+use amc::core::{Federation, FederationConfig, TxnOutcome};
 use amc::net::marker::is_marker;
 use amc::net::transport::{AdminReply, AdminRequest, FederationTransport};
 use amc::net::Payload;
 use amc::obs::ObsSink;
 use amc::paxos::{AcceptorState, Ballot, DurableAcceptor, Record, ReplicaDriver};
 use amc::rpc::wire::{decode_frame, encode_frame, Frame};
-use amc::rpc::{RetryPolicy, TcpTransport, WIRE_VERSION};
+use amc::rpc::{CoordClient, RetryPolicy, TcpTransport, WIRE_VERSION};
 use amc::sim::{generate_faults, FaultKind, NemesisConfig};
 use amc::types::{GlobalTxnId, GlobalVerdict, ObjectId, Operation, ProtocolKind, SiteId, Value};
 use amc::wal::durable::unframe;
@@ -585,7 +585,10 @@ fn nemesis_sweep_is_deterministic_per_seed() {
 
 const TCP_SITES: u32 = 3;
 const TCP_OBJS: u64 = 8;
+/// The incumbent commits this many transfers, then dies inside the next.
 const CRASH_TXN: u64 = 6;
+/// Transfers the replacement coordinator runs.
+const REPLACEMENT_TXNS: u64 = 6;
 
 struct Proc {
     child: Child,
@@ -598,25 +601,15 @@ impl Drop for Proc {
     }
 }
 
-fn spawn_acceptor_site(s: u32, dir: &std::path::Path) -> (Proc, SocketAddr) {
-    let log = dir.join(format!("acceptor-{s}.log"));
-    let mut child = Command::new(env!("CARGO_BIN_EXE_amc-site-server"))
-        .args([
-            "--site",
-            &s.to_string(),
-            "--listen",
-            "127.0.0.1:0",
-            "--protocol",
-            "2pc",
-            "--lock-timeout-ms",
-            "200",
-            "--acceptor-log",
-            log.to_str().expect("utf-8 path"),
-        ])
+/// Spawn one server binary and return it with the address it printed as
+/// `listening on <addr>`.
+fn spawn_listening(bin: &str, args: &[&str]) -> (Proc, SocketAddr) {
+    let mut child = Command::new(bin)
+        .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
-        .expect("spawn amc-site-server");
+        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
     let stdout = child.stdout.take().expect("piped stdout");
     let mut reader = std::io::BufReader::new(stdout);
     let mut addr = None;
@@ -634,6 +627,76 @@ fn spawn_acceptor_site(s: u32, dir: &std::path::Path) -> (Proc, SocketAddr) {
         Proc { child },
         addr.expect("server never printed its listening address"),
     )
+}
+
+fn spawn_acceptor_site(s: u32, dir: &std::path::Path) -> (Proc, SocketAddr) {
+    let log = dir.join(format!("acceptor-{s}.log"));
+    spawn_listening(
+        env!("CARGO_BIN_EXE_amc-site-server"),
+        &[
+            "--site",
+            &s.to_string(),
+            "--listen",
+            "127.0.0.1:0",
+            "--protocol",
+            "2pc",
+            "--lock-timeout-ms",
+            "200",
+            "--acceptor-log",
+            log.to_str().expect("utf-8 path"),
+        ],
+    )
+}
+
+/// A Paxos Commit coordinator process for slot `slot` of 2, with
+/// acceptors at every site.
+fn spawn_paxos_coordinator(
+    slot: u32,
+    sites: &str,
+    crash_after_votes: Option<u64>,
+) -> (Proc, SocketAddr) {
+    let slot = slot.to_string();
+    let acceptors = TCP_SITES.to_string();
+    let mut args = vec![
+        "--slot",
+        &slot,
+        "--coordinators",
+        "2",
+        "--sites",
+        sites,
+        "--protocol",
+        "2pc",
+        "--acceptors",
+        &acceptors,
+    ];
+    let votes = crash_after_votes.map(|k| k.to_string());
+    if let Some(votes) = &votes {
+        args.extend(["--crash-after-votes", votes]);
+    }
+    spawn_listening(env!("CARGO_BIN_EXE_amc-coord-server"), &args)
+}
+
+/// Transfer `i`: the site pair and object pair cycle deterministically.
+fn tcp_transfer(i: u64) -> BTreeMap<SiteId, Vec<Operation>> {
+    let from = 1 + (i % u64::from(TCP_SITES)) as u32;
+    let to = 1 + (from % TCP_SITES);
+    let amt = 1 + (i % 5) as i64;
+    BTreeMap::from([
+        (
+            site(from),
+            vec![Operation::Increment {
+                obj: obj(from, i % TCP_OBJS),
+                delta: -amt,
+            }],
+        ),
+        (
+            site(to),
+            vec![Operation::Increment {
+                obj: obj(to, (i + 3) % TCP_OBJS),
+                delta: amt,
+            }],
+        ),
+    ])
 }
 
 fn fast_policy() -> RetryPolicy {
@@ -667,59 +730,6 @@ fn kill_9_of_the_leading_coordinator_replica_does_not_block() {
         .map(|a| a.to_string())
         .collect::<Vec<_>>()
         .join(",");
-
-    // The incumbent: crashes (parks for our SIGKILL) mid-transaction 6,
-    // after both prepare votes are replicated to the acceptor group.
-    let mut coord = Command::new(env!("CARGO_BIN_EXE_amc-paxos-coord"))
-        .args([
-            "--sites",
-            &addr_list,
-            "--acceptors",
-            &TCP_SITES.to_string(),
-            "--txns",
-            &format!("{}", CRASH_TXN + 6),
-            "--objects",
-            &TCP_OBJS.to_string(),
-            "--crash-at-txn",
-            &CRASH_TXN.to_string(),
-            "--crash-after-votes",
-            "2",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn amc-paxos-coord");
-    let stdout = coord.stdout.take().expect("piped stdout");
-    let mut reader = std::io::BufReader::new(stdout);
-    let mut committed_before = 0u64;
-    let mut in_doubt: Option<u64> = None;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).unwrap_or(0) == 0 {
-            break;
-        }
-        let line = line.trim();
-        if line.starts_with("txn ") && line.ends_with("Committed") {
-            committed_before += 1;
-        }
-        if let Some(rest) = line.strip_prefix("in-doubt gtx=") {
-            let gtx: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            in_doubt = Some(gtx.parse().expect("gtx number"));
-            break;
-        }
-    }
-    let in_doubt = GlobalTxnId::new(in_doubt.expect("incumbent never reported the in-doubt gtx"));
-    assert!(
-        committed_before > 0,
-        "nothing committed before the incumbent died"
-    );
-    // The real death: SIGKILL, no destructors, no goodbyes.
-    coord.kill().expect("kill -9 the incumbent");
-    coord.wait().expect("reap the incumbent");
-
-    // The standby (ballot id 7): the acceptor logs alone name the
-    // in-doubt transaction and both of its Prepared instances — the
-    // verdict must be Commit, never a presumed abort.
     let addr_map: BTreeMap<SiteId, SocketAddr> = addrs
         .iter()
         .enumerate()
@@ -730,6 +740,46 @@ fn kill_9_of_the_leading_coordinator_replica_does_not_block() {
         fast_policy(),
         ObsSink::disabled(),
     ));
+    for s in 1..=TCP_SITES {
+        let data: Vec<(ObjectId, Value)> = (0..TCP_OBJS)
+            .map(|i| (obj(s, i), Value::counter(100)))
+            .collect();
+        let loaded = transport.admin(site(s), AdminRequest::Load(data));
+        assert!(matches!(loaded, Ok(AdminReply::Loaded)), "load site {s}");
+    }
+
+    // The incumbent dies inside transfer CRASH_TXN, after both of its
+    // prepare votes are replicated to the acceptor group (every transfer
+    // before it replicates two).
+    let (mut coord, coord_addr) = spawn_paxos_coordinator(0, &addr_list, Some(2 * CRASH_TXN + 2));
+    let client = CoordClient::new(coord_addr, fast_policy());
+    let mut committed_before = 0u64;
+    let mut last_gtx = 0u64;
+    for i in 0..CRASH_TXN {
+        let report = client.exec(tcp_transfer(i)).expect("incumbent exec");
+        if report.outcome == TxnOutcome::Committed {
+            committed_before += 1;
+        }
+        last_gtx = report.gtx.raw();
+    }
+    assert!(
+        committed_before > 0,
+        "nothing committed before the incumbent died"
+    );
+    let died = client.exec(tcp_transfer(CRASH_TXN)).unwrap_err();
+    assert!(
+        died.to_string().contains("injected coordinator crash"),
+        "unexpected error {died}"
+    );
+    let in_doubt = GlobalTxnId::new(last_gtx + 1);
+    // The real death: SIGKILL, no destructors, no goodbyes.
+    coord.child.kill().expect("kill -9 the incumbent");
+    coord.child.wait().expect("reap the incumbent");
+    drop(client);
+
+    // The standby (ballot id 7): the acceptor logs alone name the
+    // in-doubt transaction and both of its Prepared instances — the
+    // verdict must be Commit, never a presumed abort.
     let acceptors: Vec<SiteId> = (1..=TCP_SITES).map(site).collect();
     let driver = ReplicaDriver::new(&*transport, acceptors.clone(), 7);
     let swept = driver.run_once().expect("standby sweep");
@@ -742,33 +792,19 @@ fn kill_9_of_the_leading_coordinator_replica_does_not_block() {
     let driver2 = ReplicaDriver::new(&*transport, acceptors, 8);
     assert!(driver2.run_once().expect("second sweep").is_empty());
 
-    // A replacement coordinator (fresh gtx range, no reload) keeps the
-    // federation moving — the in-doubt window held no locks hostage.
-    let out = Command::new(env!("CARGO_BIN_EXE_amc-paxos-coord"))
-        .args([
-            "--sites",
-            &addr_list,
-            "--acceptors",
-            &TCP_SITES.to_string(),
-            "--txns",
-            "6",
-            "--objects",
-            &TCP_OBJS.to_string(),
-            "--no-load",
-            "--first-gtx",
-            "1000",
-        ])
-        .output()
-        .expect("run replacement amc-paxos-coord");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "replacement coordinator failed: {stdout}"
-    );
-    assert!(
-        stdout.contains("done committed="),
-        "replacement coordinator never finished: {stdout}"
-    );
+    // A replacement coordinator (the other slot, so a fresh gtx range)
+    // keeps the federation moving — the in-doubt window held no locks
+    // hostage.
+    let (_replacement, replacement_addr) = spawn_paxos_coordinator(1, &addr_list, None);
+    let client = CoordClient::new(replacement_addr, fast_policy());
+    let mut committed_after = 0u64;
+    for i in 0..REPLACEMENT_TXNS {
+        let report = client.exec(tcp_transfer(i)).expect("replacement exec");
+        if report.outcome == TxnOutcome::Committed {
+            committed_after += 1;
+        }
+    }
+    assert!(committed_after > 0, "the replacement committed nothing");
 
     // Conservation across the kill: every site's books, summed, are
     // exactly the initial load.

@@ -18,6 +18,10 @@
 //!    [`TcpTransport::new_mux`] against [`EventServer`]s: concurrent
 //!    transfer workloads commit, conserve the global sum, and survive a
 //!    site-server restart in place.
+//! 5. **Misdirected frames** — site servers and coordinator servers share
+//!    the loop and differ only in their handler; a frame meant for the
+//!    other kind of server closes its own connection, and every other
+//!    connection keeps being served.
 
 use amc::core::{submit_mode_for, Federation, FederationConfig, TxnOutcome};
 use amc::engine::{LocalEngine, TplConfig, TwoPLEngine};
@@ -25,8 +29,11 @@ use amc::net::comm::EngineHandle;
 use amc::net::transport::{AdminReply, AdminRequest, FederationTransport};
 use amc::net::{LocalCommManager, Payload, SubmitMode};
 use amc::obs::ObsSink;
-use amc::rpc::wire::{read_frame, write_frame};
-use amc::rpc::{EventServer, Frame, MuxClient, RetryPolicy, TcpTransport, MAX_IN_FLIGHT_PER_CONN};
+use amc::rpc::wire::{encode_frame, read_frame, write_frame, CoordRequest};
+use amc::rpc::{
+    CoordClient, CoordInfo, CoordServer, EventServer, Frame, MuxClient, RetryPolicy, TcpTransport,
+    MAX_IN_FLIGHT_PER_CONN,
+};
 use amc::types::{AmcError, GlobalTxnId, ObjectId, Operation, ProtocolKind, SiteId, Value};
 use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
@@ -688,4 +695,81 @@ fn federation_over_mux_and_event_servers_conserves_and_survives_restart() {
         .map(|v| v.counter)
         .sum();
     assert_eq!(sum, i64::from(SITES) * OBJS as i64 * PER_OBJ);
+}
+
+// --------------------------------------------------- misdirected frames --
+
+/// Send `frame` on a fresh connection to `addr` and assert the server
+/// closes that connection without answering.
+fn assert_misdirected_frame_closes_its_connection(addr: std::net::SocketAddr, frame: &Frame) {
+    let mut confused = TcpStream::connect(addr).unwrap();
+    confused.write_all(&encode_frame(frame)).unwrap();
+    confused
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut buf = [0u8; 1];
+    assert_eq!(confused.read(&mut buf).unwrap_or(0), 0, "must be closed");
+}
+
+#[test]
+fn coordinator_frame_to_a_site_server_closes_only_that_connection() {
+    let site = SiteId::new(1);
+    let srv = EventServer::spawn(
+        site,
+        manager(site, Duration::from_millis(200)),
+        SubmitMode::CommitBefore,
+        "127.0.0.1:0",
+        ObsSink::disabled(),
+    )
+    .expect("bind loopback");
+    let client = MuxClient::new(
+        site,
+        srv.addr(),
+        RetryPolicy::default(),
+        ObsSink::disabled(),
+    );
+    assert_eq!(client.admin(AdminRequest::Ping).unwrap(), AdminReply::Pong);
+    assert_misdirected_frame_closes_its_connection(
+        srv.addr(),
+        &Frame::CoordRequest {
+            req_id: 1,
+            req: CoordRequest::Ping,
+        },
+    );
+    // The established connection is still served, and the coordinator
+    // frame never reached a worker.
+    assert_eq!(client.admin(AdminRequest::Ping).unwrap(), AdminReply::Pong);
+    assert_eq!(srv.stats().dispatched, 2);
+    drop(client);
+    srv.shutdown();
+}
+
+#[test]
+fn site_request_to_a_coordinator_server_closes_only_that_connection() {
+    let fed = Arc::new(Federation::new(FederationConfig::uniform(
+        2,
+        ProtocolKind::TwoPhaseCommit,
+    )));
+    let info = CoordInfo {
+        slot: 0,
+        coordinators: 1,
+        epoch: 1,
+        sites: vec![SiteId::new(1), SiteId::new(2)],
+    };
+    let srv = CoordServer::spawn(fed, info, "127.0.0.1:0").expect("bind loopback");
+    let client = CoordClient::new(srv.addr(), RetryPolicy::default());
+    client.ping().unwrap();
+    assert_misdirected_frame_closes_its_connection(
+        srv.addr(),
+        &Frame::Request {
+            req_id: 1,
+            payload: Payload::Prepare {
+                gtx: GlobalTxnId::new(1),
+            },
+        },
+    );
+    client.ping().unwrap();
+    assert_eq!(srv.stats().dispatched, 2);
+    drop(client);
+    srv.shutdown();
 }
