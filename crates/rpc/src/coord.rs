@@ -20,6 +20,19 @@
 //! `ErrorReply` frames — the transport stays healthy; the answer is an
 //! error.
 //!
+//! **Concurrency limit.** A [`CoordClient`] is one connection, so it has
+//! at most [`MAX_IN_FLIGHT_PER_CONN`] requests dispatched at once; any
+//! more are shed (and the client retries them after a backoff). The
+//! server runs at most its worker count (16–32) of those at once; the
+//! rest queue, and the queue wait counts against the client's
+//! `request_timeout` — an `exec` that times out there is not retried and
+//! reports `SiteDown(CENTRAL)` although the server still runs it. Size
+//! `request_timeout` for the concurrency you drive
+//! (`amc-loadgen --coordinators` caps `--clients` at
+//! [`MAX_IN_FLIGHT_PER_CONN`]).
+//!
+//! [`MAX_IN_FLIGHT_PER_CONN`]: crate::MAX_IN_FLIGHT_PER_CONN
+//!
 //! [`Federation`]: amc_core::Federation
 
 use crate::event_loop::{EventServer, EventServerStats, Handler};
@@ -81,7 +94,7 @@ impl CoordServer {
         listen: &str,
     ) -> io::Result<CoordServer> {
         let handler = CoordHandler { federation, info };
-        let server = EventServer::serve(SiteId::CENTRAL, listen, Arc::new(handler))?;
+        let server = EventServer::serve(SiteId::CENTRAL, listen, handler)?;
         Ok(CoordServer { server })
     }
 
@@ -109,14 +122,16 @@ struct CoordHandler {
 }
 
 impl Handler for CoordHandler {
-    fn accepts(&self, frame: &Frame) -> bool {
-        matches!(frame, Frame::CoordRequest { .. })
+    type Req = CoordRequest;
+
+    fn accept(&self, frame: Frame) -> Option<(u64, CoordRequest)> {
+        match frame {
+            Frame::CoordRequest { req_id, req } => Some((req_id, req)),
+            _ => None,
+        }
     }
 
-    fn handle(&self, frame: Frame) -> Frame {
-        let Frame::CoordRequest { req_id, req } = frame else {
-            unreachable!("a coordinator server never dispatches {frame:?}");
-        };
+    fn handle(&self, req_id: u64, req: CoordRequest) -> Frame {
         let reply = match req {
             CoordRequest::Ping => CoordReply::Pong,
             CoordRequest::Describe => CoordReply::Coord {
@@ -347,6 +362,61 @@ mod tests {
         // Exactly one Exec reached the coordinator: a transaction whose
         // outcome is unknown is never sent again.
         assert_eq!(srv.stats().dispatched, 1);
+        srv.shutdown();
+    }
+
+    #[test]
+    fn more_concurrent_execs_than_workers_all_commit() {
+        // Each transaction holds a worker for ~24 ms (6 messages, 2 ms
+        // per leg). The pool has at most 32 workers, so the 64 requests —
+        // one connection's full in-flight allowance — queue for several
+        // rounds; every one must still commit within the default deadline.
+        let clients = crate::MAX_IN_FLIGHT_PER_CONN as u64;
+        let mut cfg = FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit);
+        cfg.message_delay = Duration::from_millis(2);
+        let (srv, fed) = spawn_coord_with(cfg);
+        let obj = |s: u32, i: u64| ObjectId::new((u64::from(s) << 32) | i);
+        for s in 1..=2 {
+            let objs: Vec<_> = (0..clients)
+                .map(|i| (obj(s, i), Value::counter(10)))
+                .collect();
+            fed.load_site(SiteId::new(s), &objs).unwrap();
+        }
+        let client = CoordClient::new(srv.addr(), RetryPolicy::default());
+        let start = std::sync::Barrier::new(clients as usize);
+        let outcomes: Vec<AmcResult<ExecReport>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..clients)
+                .map(|i| {
+                    let (client, start) = (&client, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        client.exec(BTreeMap::from([
+                            (
+                                SiteId::new(1),
+                                vec![Operation::Increment {
+                                    obj: obj(1, i),
+                                    delta: -1,
+                                }],
+                            ),
+                            (
+                                SiteId::new(2),
+                                vec![Operation::Increment {
+                                    obj: obj(2, i),
+                                    delta: 1,
+                                }],
+                            ),
+                        ]))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for outcome in outcomes {
+            assert_eq!(outcome.unwrap().outcome, TxnOutcome::Committed);
+        }
+        let stats = srv.stats();
+        assert_eq!(stats.dispatched, clients);
+        assert_eq!(stats.load_sheds, 0);
         srv.shutdown();
     }
 }

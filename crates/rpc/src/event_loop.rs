@@ -36,8 +36,8 @@
 
 use crate::wire::{encode_frame, Frame, FrameBuffer};
 use amc_epoll::{Interest, Poller, Waker};
-use amc_net::transport::{admin_to_manager, dispatch_to_manager};
-use amc_net::{LocalCommManager, SubmitMode};
+use amc_net::transport::{admin_to_manager, dispatch_to_manager, AdminRequest};
+use amc_net::{LocalCommManager, Payload, SubmitMode};
 use amc_obs::{EventKind, ObsSink};
 use amc_paxos::AcceptorHost;
 use amc_types::{AmcError, SiteId};
@@ -108,20 +108,25 @@ struct SharedStats {
 }
 
 /// What an [`EventServer`] answers. Every worker shares one handler.
-pub(crate) trait Handler: Send + Sync {
-    /// Whether `frame` is a request this server answers. Any other frame
-    /// (a reply, or a request meant for the other kind of server) means
-    /// the peer is confused, and its connection is closed.
-    fn accepts(&self, frame: &Frame) -> bool;
+pub(crate) trait Handler: Send + Sync + 'static {
+    /// A request this server answers, taken out of its frame.
+    type Req: Send + 'static;
 
-    /// Answer one request that [`Handler::accepts`] admitted.
-    fn handle(&self, frame: Frame) -> Frame;
+    /// Take `frame` apart into its request id and request, or `None` when
+    /// it is not a request this server answers. Such a frame (a reply, or
+    /// a request meant for the other kind of server) means the peer is
+    /// confused, and its connection is closed.
+    fn accept(&self, frame: Frame) -> Option<(u64, Self::Req)>;
+
+    /// Answer one request that [`Handler::accept`] took apart.
+    fn handle(&self, req_id: u64, req: Self::Req) -> Frame;
 }
 
 /// A dispatch job: which connection asked, and what it asked.
-struct Job {
+struct Job<R> {
     conn: u64,
-    frame: Frame,
+    req_id: u64,
+    req: R,
 }
 
 /// A finished dispatch: which connection to answer, and the reply frame.
@@ -133,12 +138,31 @@ struct Completion {
 /// Worker-pool plumbing: a bounded job queue the loop pushes into and a
 /// completion queue the workers push back, with the eventfd waker as the
 /// loop's doorbell.
-struct Pool {
-    jobs: Mutex<VecDeque<Job>>,
+struct Pool<R> {
+    jobs: Mutex<VecDeque<Job<R>>>,
     jobs_cv: Condvar,
     completions: Mutex<Vec<Completion>>,
     waker: Waker,
     stop: AtomicBool,
+}
+
+/// What shutdown needs from a [`Pool`], whatever its request type.
+trait PoolControl: Send + Sync {
+    /// Ring the loop's doorbell.
+    fn wake_loop(&self);
+    /// Tell every worker to exit.
+    fn stop_workers(&self);
+}
+
+impl<R: Send> PoolControl for Pool<R> {
+    fn wake_loop(&self) {
+        self.waker.wake();
+    }
+
+    fn stop_workers(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.jobs_cv.notify_all();
+    }
 }
 
 /// Per-connection state owned by the event loop.
@@ -165,7 +189,7 @@ pub struct EventServer {
     site: SiteId,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    pool: Arc<Pool>,
+    pool: Arc<dyn PoolControl>,
     stats: Arc<SharedStats>,
     loop_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
@@ -210,16 +234,17 @@ impl EventServer {
             obs,
             acceptor,
         };
-        Self::serve(site, listen, Arc::new(handler))
+        Self::serve(site, listen, handler)
     }
 
     /// Bind `listen` and answer every connection's requests with
     /// `handler`. `site` is what [`EventServer::site`] reports.
-    pub(crate) fn serve(
+    pub(crate) fn serve<H: Handler>(
         site: SiteId,
         listen: &str,
-        handler: Arc<dyn Handler>,
+        handler: H,
     ) -> io::Result<EventServer> {
+        let handler = Arc::new(handler);
         let listener = bind_with_retry(listen)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -308,12 +333,11 @@ impl EventServer {
 
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        self.pool.waker.wake();
+        self.pool.wake_loop();
         if let Some(h) = self.loop_thread.take() {
             let _ = h.join();
         }
-        self.pool.stop.store(true, Ordering::SeqCst);
-        self.pool.jobs_cv.notify_all();
+        self.pool.stop_workers();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -378,12 +402,24 @@ struct SiteHandler {
     acceptor: Option<Arc<AcceptorHost>>,
 }
 
+/// What a site server answers: a protocol message or an admin request.
+enum SiteReq {
+    Protocol(Payload),
+    Admin(AdminRequest),
+}
+
 impl Handler for SiteHandler {
-    fn accepts(&self, frame: &Frame) -> bool {
-        matches!(frame, Frame::Request { .. } | Frame::AdminRequest { .. })
+    type Req = SiteReq;
+
+    fn accept(&self, frame: Frame) -> Option<(u64, SiteReq)> {
+        match frame {
+            Frame::Request { req_id, payload } => Some((req_id, SiteReq::Protocol(payload))),
+            Frame::AdminRequest { req_id, req } => Some((req_id, SiteReq::Admin(req))),
+            _ => None,
+        }
     }
 
-    fn handle(&self, frame: Frame) -> Frame {
+    fn handle(&self, req_id: u64, req: SiteReq) -> Frame {
         let SiteHandler {
             site,
             manager,
@@ -392,8 +428,8 @@ impl Handler for SiteHandler {
             acceptor,
         } = self;
         let acceptor = acceptor.as_deref();
-        match frame {
-            Frame::Request { req_id, payload } => {
+        match req {
+            SiteReq::Protocol(payload) => {
                 obs.emit(
                     Some(payload.gtx()),
                     *site,
@@ -418,7 +454,7 @@ impl Handler for SiteHandler {
                     Err(error) => Frame::ErrorReply { req_id, error },
                 }
             }
-            Frame::AdminRequest { req_id, req } => {
+            SiteReq::Admin(req) => {
                 let handled = acceptor.and_then(|h| h.admin_pre(&req));
                 let result = match handled {
                     Some(reply) => Ok(reply),
@@ -429,7 +465,6 @@ impl Handler for SiteHandler {
                     Err(error) => Frame::ErrorReply { req_id, error },
                 }
             }
-            other => unreachable!("a site server never dispatches {other:?}"),
         }
     }
 }
@@ -437,7 +472,7 @@ impl Handler for SiteHandler {
 /// One worker: pull a job, answer it through the handler, hand the
 /// reply back to the loop, ring the doorbell. A panicking handler costs
 /// its request an `ErrorReply`, never the worker.
-fn worker_loop(pool: &Pool, handler: &dyn Handler, stats: &SharedStats) {
+fn worker_loop<H: Handler>(pool: &Pool<H::Req>, handler: &H, stats: &SharedStats) {
     loop {
         let job = {
             let mut jobs = pool.jobs.lock();
@@ -451,30 +486,27 @@ fn worker_loop(pool: &Pool, handler: &dyn Handler, stats: &SharedStats) {
                 pool.jobs_cv.wait(&mut jobs);
             }
         };
-        let req_id = job.frame.req_id();
+        let Job { conn, req_id, req } = job;
         let reply =
-            catch_unwind(AssertUnwindSafe(|| handler.handle(job.frame))).unwrap_or_else(|_| {
+            catch_unwind(AssertUnwindSafe(|| handler.handle(req_id, req))).unwrap_or_else(|_| {
                 stats.handler_panics.fetch_add(1, Ordering::Relaxed);
                 Frame::ErrorReply {
                     req_id,
                     error: AmcError::Protocol("request handler panicked".into()),
                 }
             });
-        pool.completions.lock().push(Completion {
-            conn: job.conn,
-            reply,
-        });
+        pool.completions.lock().push(Completion { conn, reply });
         pool.waker.wake();
     }
 }
 
 /// The loop itself: accept, read/decode, hand out jobs, collect
 /// completions, batch-write replies.
-fn event_loop(
+fn event_loop<H: Handler>(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
-    pool: Arc<Pool>,
-    handler: &dyn Handler,
+    pool: Arc<Pool<H::Req>>,
+    handler: &H,
     stats: Arc<SharedStats>,
 ) -> io::Result<()> {
     let poller = Poller::new()?;
@@ -573,12 +605,12 @@ fn accept_ready(
 /// Drain the socket into the frame buffer and decode every complete
 /// frame. Returns `true` when the connection must die *immediately*
 /// (poisoned stream, or a frame the handler does not accept).
-fn read_ready(
+fn read_ready<H: Handler>(
     conn: &mut Conn,
     token: u64,
     chunk: &mut [u8],
-    pool: &Pool,
-    handler: &dyn Handler,
+    pool: &Pool<H::Req>,
+    handler: &H,
     stats: &SharedStats,
 ) -> bool {
     loop {
@@ -598,25 +630,31 @@ fn read_ready(
     let mut jobs = Vec::new();
     loop {
         match conn.rbuf.next_frame() {
-            Ok(Some(frame)) if handler.accepts(&frame) => {
+            Ok(Some(frame)) => {
+                // A peer sending replies, or requests for the other kind
+                // of server, is broken.
+                let Some((req_id, req)) = handler.accept(frame) else {
+                    return true;
+                };
                 if conn.in_flight >= MAX_IN_FLIGHT_PER_CONN {
                     // Load shed: answer now, dispatch never. The reply
                     // goes through the same batched write path.
                     stats.load_sheds.fetch_add(1, Ordering::Relaxed);
                     let shed = Frame::ErrorReply {
-                        req_id: frame.req_id(),
+                        req_id,
                         error: AmcError::BufferExhausted,
                     };
                     conn.wbuf.extend_from_slice(&encode_frame(&shed));
                 } else {
                     conn.in_flight += 1;
                     stats.dispatched.fetch_add(1, Ordering::Relaxed);
-                    jobs.push(Job { conn: token, frame });
+                    jobs.push(Job {
+                        conn: token,
+                        req_id,
+                        req,
+                    });
                 }
             }
-            // A peer sending replies, or requests for the other kind of
-            // server, is broken.
-            Ok(Some(_)) => return true,
             Ok(None) => break,
             Err(_) => return true,
         }
@@ -646,8 +684,8 @@ fn read_ready(
 
 /// Serialize finished replies into their connections' write buffers and
 /// flush what the sockets will take.
-fn drain_completions(
-    pool: &Pool,
+fn drain_completions<R>(
+    pool: &Pool<R>,
     poller: &Poller,
     conns: &mut HashMap<u64, Conn>,
     stats: &SharedStats,
@@ -856,24 +894,29 @@ mod tests {
     struct PanicsOnRequests;
 
     impl Handler for PanicsOnRequests {
-        fn accepts(&self, frame: &Frame) -> bool {
-            matches!(frame, Frame::Request { .. } | Frame::AdminRequest { .. })
+        /// Whether the request is an admin ping.
+        type Req = bool;
+
+        fn accept(&self, frame: Frame) -> Option<(u64, bool)> {
+            match frame {
+                Frame::Request { req_id, .. } => Some((req_id, false)),
+                Frame::AdminRequest { req_id, .. } => Some((req_id, true)),
+                _ => None,
+            }
         }
 
-        fn handle(&self, frame: Frame) -> Frame {
-            match frame {
-                Frame::AdminRequest { req_id, .. } => Frame::AdminReply {
-                    req_id,
-                    reply: AdminReply::Pong,
-                },
-                _ => panic!("injected handler fault"),
+        fn handle(&self, req_id: u64, ping: bool) -> Frame {
+            assert!(ping, "injected handler fault");
+            Frame::AdminReply {
+                req_id,
+                reply: AdminReply::Pong,
             }
         }
     }
 
     #[test]
     fn a_handler_panic_costs_its_request_an_error_reply_not_a_worker() {
-        let srv = EventServer::serve(SiteId::new(1), "127.0.0.1:0", Arc::new(PanicsOnRequests))
+        let srv = EventServer::serve(SiteId::new(1), "127.0.0.1:0", PanicsOnRequests)
             .expect("bind loopback");
         // Twice as many panics as workers: without isolation every worker
         // would be dead before the second half is even picked up.

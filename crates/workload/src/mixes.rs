@@ -197,18 +197,14 @@ impl MixGen {
     }
 
     /// Append the intended-abort trigger when the spec's dice say so: a
-    /// read of an object beyond the loaded range, filed at the last
+    /// read of an object beyond the loaded range, filed at the first
     /// participating site, so the abort travels the transaction's own
-    /// logic path after the other sites ran (the coordinator contacts
-    /// sites in ascending order and stops the work round at a no vote).
+    /// logic path.
     fn maybe_poison(&mut self, per_site: &mut BTreeMap<SiteId, Vec<Operation>>) -> bool {
         if !self.rng.chance(self.spec.intended_abort_prob) {
             return false;
         }
-        let site = *per_site
-            .keys()
-            .next_back()
-            .expect("programs are never empty");
+        let site = *per_site.keys().next().expect("programs are never empty");
         per_site.entry(site).or_default().push(Operation::Read {
             obj: object(site, self.spec.objects_per_site + 1_000_000),
         });

@@ -41,11 +41,15 @@
 //! The summary gains one `coord k: ...` line per coordinator, and
 //! `--events-out` rows carry `C<k>` in the site column so
 //! `explain --events --coordinator <k>` can isolate one shard's traffic.
+//! All clients share one connection per coordinator, so `--clients` is
+//! capped at `MAX_IN_FLIGHT_PER_CONN` (64) in this mode; past the
+//! server's 16–32 workers, `Exec`s queue and the wait counts against the
+//! 2 s request deadline.
 
 use amc_core::{Federation, FederationConfig, TxnOutcome};
 use amc_net::transport::{AdminReply, AdminRequest, FederationTransport};
 use amc_obs::ObsSink;
-use amc_rpc::{CoordClient, RetryPolicy, TcpTransport};
+use amc_rpc::{CoordClient, RetryPolicy, TcpTransport, MAX_IN_FLIGHT_PER_CONN};
 use amc_types::{ObjectId, Operation, ProtocolKind, SiteId, Value};
 use amc_workload::{MixGen, MixKind, MixSpec};
 use parking_lot::Mutex;
@@ -62,7 +66,8 @@ fn usage() -> ! {
          [--workload <transfer|zipf|hotkey|tpcc-lite|read-heavy>] [--theta <0..=2>] \
          [--events-out <path>]\n\
        or: amc-loadgen --coordinators <addr,addr,...> [--txns <n>] [--clients <n>] \
-         [--objects <n>] [--seed <n>] [--events-out <path>]"
+         [--objects <n>] [--seed <n>] [--events-out <path>]\n\
+       (with --coordinators, --clients is at most {MAX_IN_FLIGHT_PER_CONN})"
     );
     std::process::exit(2);
 }
@@ -270,6 +275,13 @@ fn main() {
     if !coord_addrs.is_empty() {
         if workload.is_some() {
             eprintln!("--workload mixes drive --sites mode; sharded mode keeps the legacy stream");
+            std::process::exit(2);
+        }
+        if clients > MAX_IN_FLIGHT_PER_CONN {
+            eprintln!(
+                "--coordinators shares one connection per coordinator: \
+                 --clients must be at most {MAX_IN_FLIGHT_PER_CONN}"
+            );
             std::process::exit(2);
         }
         // Sharded mode: protocol and site addresses live with the
